@@ -3,12 +3,19 @@
 Two questions, answered with machine-readable JSON lines:
 
 1. **Routing quality.**  On a small/large × pure-Python/LAPACK grid of
-   counting rounds, is ``backend="auto"`` ever meaningfully slower than the
-   best *forced* backend?  The planner's whole job is to make hand-picking
-   backends unnecessary, so the acceptance pin is relative — ``auto`` must
-   land within ``TOLERANCE`` (plus a small absolute slack for timer noise)
-   of the per-cell winner.  Being a same-host ratio, the pin is robust to
-   slow CI machines in a way absolute wall-clock targets are not.
+   counting rounds, plus one round of large per-query determinants (16
+   principal minors of order 400 from an ``n = 800`` matrix — the shape
+   ``threads`` was once kept for), is ``backend="auto"`` ever meaningfully
+   slower than the best *forced* backend?  The planner's whole job is to
+   make hand-picking backends unnecessary, so the acceptance pin is
+   relative — ``auto`` must land within ``TOLERANCE`` (plus a small
+   absolute slack for timer noise) of the per-cell winner.  Being a
+   same-host ratio, the pin is robust to slow CI machines in a way absolute
+   wall-clock targets are not.  Each backend first runs ``WARMUP_ROUNDS``
+   untimed rounds — pool spin-up for the pooled backends; for ``auto``, the
+   cold round plus the one ``process`` trial a heavy cell triggers.  Then
+   the backends take turns for ``REPEATS`` timed rounds, so a burst of host
+   load cannot land on one backend alone, and the best round counts.
 
 2. **Spectral fusion.**  Concurrent same-kernel HKPV requests drained
    through the ``RoundScheduler`` run phase 2 in lockstep, and their
@@ -51,7 +58,9 @@ from repro.service import KernelRegistry
 from repro.workloads import random_psd_ensemble
 
 WORKERS = 4
-REPEATS = 3
+REPEATS = 5
+#: untimed rounds per backend and cell before timing (see the docstring)
+WARMUP_ROUNDS = 2
 #: auto may be at most this factor above the best forced backend per cell
 TOLERANCE = 1.10
 #: absolute slack (seconds) so microsecond-scale cells cannot flake the ratio
@@ -68,22 +77,30 @@ def _subsets(rng, n: int, sizes, count: int) -> List[tuple]:
 
 
 def _grid(small: bool = False):
-    """The small/large × LAPACK/pure-Python routing cells."""
+    """``(name, n, queries, batch factory)`` per routing cell."""
     rng = np.random.default_rng(0)
     L64 = random_psd_ensemble(64, rank=24, seed=1)
     kdpp = SymmetricKDPP(L64, 8)
     n_part = 20
     Lp = random_psd_ensemble(n_part, rank=10, seed=2)
     partition = PartitionDPP(Lp, [list(range(10)), list(range(10, n_part))], [3, 2])
-    cells = [
+    counting = [
         ("lapack-small", kdpp, _subsets(rng, 64, (1, 2, 3), 12)),
         ("python-small", partition, _subsets(rng, n_part, (1, 2), 8)),
     ]
     if not small:
-        cells += [
+        counting += [
             ("lapack-large", kdpp, _subsets(rng, 64, (1, 2, 3, 4), 192)),
             ("python-large", partition, _subsets(rng, n_part, (1, 2, 3), 48)),
         ]
+    cells = [(name, dist.n, len(subsets),
+              lambda d=dist, s=subsets: OracleBatch.counting(d, s))
+             for name, dist, subsets in counting]
+    if not small:
+        big = random_psd_ensemble(800, seed=4)
+        minors = _subsets(rng, 800, (400,), 16)
+        cells.append(("determinant-large", 800, len(minors),
+                      lambda: OracleBatch.log_principal_minors(big, minors)))
     return cells
 
 
@@ -91,14 +108,20 @@ def _best_of(run, repeats: int = REPEATS) -> float:
     return best_of(run, repeats)
 
 
-def _measure_cell(name, dist, subsets, backends, auto) -> Dict[str, object]:
-    batch = lambda: OracleBatch.counting(dist, subsets)  # noqa: E731
-    timings: Dict[str, float] = {}
+def _measure_cell(name, n, queries, batch, backends, auto) -> Dict[str, object]:
+    contenders = list(backends.items()) + [("auto", auto)]
     values: Dict[str, np.ndarray] = {}
-    for backend_name, backend in list(backends.items()) + [("auto", auto)]:
-        values[backend_name] = backend.execute(batch(), tracker=Tracker()).values  # warm
-        timings[backend_name] = _best_of(
-            lambda b=backend: b.execute(batch(), tracker=Tracker()))
+    for backend_name, backend in contenders:
+        for _ in range(WARMUP_ROUNDS):
+            values[backend_name] = backend.execute(batch(), tracker=Tracker()).values
+    # round-robin: a burst of host load hits every backend alike
+    timings = {backend_name: float("inf") for backend_name, _ in contenders}
+    for _ in range(REPEATS):
+        for backend_name, backend in contenders:
+            start = time.perf_counter()
+            backend.execute(batch(), tracker=Tracker())
+            timings[backend_name] = min(timings[backend_name],
+                                        time.perf_counter() - start)
     reference = values["vectorized"]
     identical = all(np.allclose(v, reference, rtol=1e-9, atol=1e-12)
                     for v in values.values())
@@ -108,8 +131,8 @@ def _measure_cell(name, dist, subsets, backends, auto) -> Dict[str, object]:
     return {
         "bench": "planner",
         "cell": name,
-        "n": dist.n,
-        "queries": len(subsets),
+        "n": n,
+        "queries": queries,
         "workers": WORKERS,
         "cpu_count": os.cpu_count(),
         **{f"{k}_s": v for k, v in timings.items()},
@@ -131,8 +154,7 @@ def planner_report(small: bool = False) -> List[Dict[str, object]]:
     }
     auto = AutoBackend(RoundPlanner(backends=backends))
     try:
-        return [_measure_cell(name, dist, subsets, backends, auto)
-                for name, dist, subsets in _grid(small=small)]
+        return [_measure_cell(*cell, backends, auto) for cell in _grid(small=small)]
     finally:
         backends["threads"].close()
         backends["process"].close()

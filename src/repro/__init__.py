@@ -24,7 +24,10 @@ Execution engine: every sampler expresses each adaptive round as an
 :class:`~repro.engine.batch.OracleBatch` executed by a pluggable backend —
 select it globally with :func:`repro.configure_backend` (``"serial"``,
 ``"vectorized"``, ``"threads"``, ``"process"``), scope it with
-:func:`repro.use_backend`, or pass ``backend=...`` to any sampler call.
+:func:`repro.use_backend`, or pass ``backend=...`` to any sampler call.  The
+default, ``"auto"``, routes each round between ``vectorized`` and
+``process`` by measured wall time (:class:`repro.RoundPlanner`); fixed-seed
+samples are identical on every backend.
 
 Serving layer: :func:`repro.serve` opens a :class:`~repro.service.SamplerSession`
 whose repeated draws reuse cached factorizations
@@ -50,8 +53,7 @@ candidate set (memory ``O(n·k)``), and ``repro.serve(LowRankKernel(B))`` /
 Observability: :mod:`repro.obs` — process-wide metrics + per-round tracing
 across backends, planner, scheduler, caches and cluster (off by default;
 ``repro.obs.enable()``), exported via :func:`repro.obs.snapshot` (JSON) and
-:func:`repro.obs.render_prometheus` (Prometheus text), plus the planner's
-measured-cost feedback loop (``repro.obs.configure(feedback=True)``).
+:func:`repro.obs.render_prometheus` (Prometheus text).
 
 Substrates: :mod:`repro.dpp` (kernels, counting oracles),
 :mod:`repro.planar` (Kasteleyn counting, separators), :mod:`repro.linalg`

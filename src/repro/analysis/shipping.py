@@ -11,8 +11,8 @@ on the default backend never see.
 R3 requires, for every class on which ``worker_payload`` is visible (own or
 via same-module bases):
 
-* a visible ``from_worker_payload`` (and an ``oracle_cost_hint``, so the
-  planner can price the round);
+* a visible ``from_worker_payload`` (and an ``oracle_cost_hint`` stating
+  the shipped kernel's structure);
 * every payload key *consumed* by ``from_worker_payload`` (string subscript
   reads, ``.get("k")``, ``"k" in x`` membership probes) to be *produced*
   somewhere in ``worker_payload`` — dict-literal keys, ``d["k"] = ...``
@@ -161,8 +161,8 @@ class ShippingContractRule(Rule):
                 yield ctx.violation(
                     self.id, "missing-oracle-cost-hint", cls,
                     f"{cls.name} defines worker_payload but no "
-                    "oracle_cost_hint: backend='auto' cannot price its "
-                    "rounds, so planner choices become arbitrary")
+                    "oracle_cost_hint: its kernel structure (order, rank, "
+                    "update depth) falls back to the generic default")
             rebuild = methods.get("from_worker_payload")
             if rebuild is None or rebuild.name != "from_worker_payload":
                 continue

@@ -146,22 +146,17 @@ class SubsetDistribution(abc.ABC):
         return None
 
     # ------------------------------------------------------------------ #
-    # execution-cost hint (the engine's cost-aware planner)
+    # structural cost hint
     # ------------------------------------------------------------------ #
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Structural cost facts about this distribution's oracle batches.
+        """Structural cost facts about this distribution's kernel.
 
-        The :class:`~repro.engine.planner.RoundPlanner` combines the hint
-        with the calibrated PRAM cost model to route each
-        :class:`~repro.engine.batch.OracleBatch` to the cheapest backend.
-        The default is honest about the generic implementation: queries cost
-        a ``matrix_order``-sized computation of GIL-bound Python (the scalar
-        ``counting`` loop), and ``counting_batch`` does not vectorize.
-        Structured subclasses override with their real profile.
+        Matrix order, factor rank (``None`` when dense) and update-chain
+        depth — the inputs of the work-unit patch-vs-recompute break-even
+        (:meth:`~repro.pram.cost.CostModel.update_break_even_depth`).
+        Factor-backed subclasses override to report their rank.
         """
-        return OracleCostHint(matrix_order=self.n, python_fraction=1.0,
-                              batch_vectorized=False,
-                              update_depth=self.update_depth)
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
     # derived quantities

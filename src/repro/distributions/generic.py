@@ -84,10 +84,8 @@ class ExplicitDistribution(SubsetDistribution):
         return self._support_cache
 
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Table batches are one mask matmul: vectorized, no Python lane."""
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.1,
-                              batch_vectorized=True,
-                              update_depth=self.update_depth)
+        """A dense ``n``-sized table: no factor rank."""
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
     # SubsetDistribution interface

@@ -297,15 +297,13 @@ class _LowRankOracleMixin:
         return self.factor
 
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Factor-space oracles: LAPACK-dominated, priced at reduced rank.
+        """Factor-space oracles, priced at reduced rank.
 
-        ``rank`` tells the planner a query costs ``O(n·k + k³)``, not
-        ``O(n^ω)`` — without it, ``backend="auto"`` would treat an
-        ``n = 10^5`` low-rank round as astronomically expensive and always
-        pay the process pool's dispatch overhead.
+        ``rank`` says a query costs ``O(n·k + k³)``, not ``O(n^ω)``, and that
+        updates patch the factor exactly (see
+        :meth:`~repro.pram.cost.CostModel.update_break_even_depth`).
         """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              batch_vectorized=True, rank=self.rank,
+        return OracleCostHint(matrix_order=self.n, rank=self.rank,
                               update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #

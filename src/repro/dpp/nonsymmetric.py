@@ -106,9 +106,7 @@ class NonsymmetricDPP(SubsetDistribution):
 
     def oracle_cost_hint(self) -> OracleCostHint:
         """Marginal-kernel minors, exactly like the symmetric DPP."""
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              batch_vectorized=True,
-                              update_depth=self.update_depth)
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:
@@ -209,16 +207,8 @@ class NonsymmetricKDPP(HomogeneousDistribution):
 
     # ------------------------------------------------------------------ #
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Charpoly minor sums: a substantial GIL-bound Python lane.
-
-        The batch route stacks determinants/Schur complements, but the
-        per-group ESP evaluation and the charpoly recursions behind the
-        normalizer keep a sizable interpreted share — this is one of the two
-        workloads the process backend was built for.
-        """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.5,
-                              batch_vectorized=True,
-                              update_depth=self.update_depth)
+        """Charpoly minor sums over the dense ``n x n`` ensemble."""
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
 
     def unnormalized(self, subset: Iterable[int]) -> float:
         items = check_subset(subset, self.n)

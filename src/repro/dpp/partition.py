@@ -110,17 +110,8 @@ class PartitionDPP(HomogeneousDistribution):
                    labels=params["labels"], partition_function=params["z"])
 
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Interpolation grids: heavily GIL-bound.
-
-        Each surviving subset of a batch evaluates its own tensor-product
-        interpolation grid (a Python loop around stacked determinants plus
-        the Vandermonde solve), and the grid has ``∏(|P_i|+1)`` nodes — so
-        the effective per-query order is well above ``n`` and the Python
-        lane dominates.  This is the flagship process-backend workload.
-        """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.8,
-                              batch_vectorized=True,
-                              update_depth=self.update_depth)
+        """Interpolation grids over the dense ``n x n`` ensemble."""
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
     # densities

@@ -114,10 +114,8 @@ class SymmetricDPP(SubsetDistribution):
         return kernel_fingerprint(self.L, kind="symmetric")
 
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Marginal-kernel minors: stacked LAPACK, negligible Python lane."""
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              batch_vectorized=True,
-                              update_depth=self.update_depth)
+        """Marginal-kernel minors of the dense ``n x n`` kernel."""
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
     # counting oracle and densities
@@ -340,14 +338,8 @@ class SymmetricKDPP(HomogeneousDistribution):
         return kernel_fingerprint(self.L, kind="symmetric")
 
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Rank-r Gram reductions + batched ESPs: LAPACK-dominated.
-
-        The ESP recursion is vectorized across the batch (one NumPy pass per
-        order), so only a thin Python lane remains.
-        """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.1,
-                              batch_vectorized=True,
-                              update_depth=self.update_depth)
+        """Gram reductions + batched ESPs over the dense ``n x n`` ensemble."""
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:

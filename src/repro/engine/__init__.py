@@ -24,10 +24,9 @@ a first-class object and separates the *what* from the *how*:
   a :mod:`multiprocessing.shared_memory` kernel store —
   :mod:`repro.engine.shm` — so GIL-bound oracle paths scale across cores).
 * :class:`~repro.engine.planner.AutoBackend` / ``backend="auto"`` (the
-  default) — the cost-aware :class:`~repro.engine.planner.RoundPlanner`
-  prices every batch on every eligible backend (calibrated PRAM cost model
-  × per-backend :meth:`~repro.engine.backends.ExecutionBackend.traits`
-  descriptors × per-distribution cost hints) and routes it to the cheapest.
+  default) — the measured :class:`~repro.engine.planner.RoundPlanner` runs a
+  cold round on ``vectorized``, tries ``process`` once a round shape is
+  heavy enough, then follows whichever measured faster.
 * :func:`~repro.engine.config.configure_backend` /
   :func:`~repro.engine.config.use_backend` — process-wide / scoped selection;
   every sampler additionally accepts ``backend=...`` per call, which always
@@ -41,14 +40,13 @@ paper's depth accounting independent of wall-clock engineering.
 
 from repro.engine.batch import BATCH_KINDS, BatchPayload, OracleBatch, OracleBatchResult
 from repro.engine.backends import (
-    BackendTraits,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     VectorizedBackend,
 )
-from repro.engine.planner import AutoBackend, PlanDecision, RoundPlanner, probe_dispatch_overhead
+from repro.engine.planner import AutoBackend, PlanDecision, RoundPlanner
 from repro.engine.shm import ArrayRef, SharedArrayStore, shared_memory_available
 from repro.engine.config import (
     BACKEND_REGISTRY,
@@ -74,7 +72,6 @@ __all__ = [
     "BATCH_KINDS",
     "ArrayRef",
     "AutoBackend",
-    "BackendTraits",
     "BatchPayload",
     "OracleBatch",
     "OracleBatchResult",
@@ -86,7 +83,6 @@ __all__ = [
     "VectorizedBackend",
     "ThreadPoolBackend",
     "ProcessPoolBackend",
-    "probe_dispatch_overhead",
     "shared_memory_available",
     "BACKEND_REGISTRY",
     "BackendLike",

@@ -10,12 +10,18 @@ identical samples no matter which backend executes them.
   oracles (``counting_batch`` / ``joint_marginals_batch``), which fan out via
   the stacked NumPy primitives in :mod:`repro.linalg.batch`.
 * :class:`ThreadPoolBackend` — ``concurrent.futures`` fan-out of scalar
-  queries; NumPy releases the GIL inside LAPACK so large per-query
-  determinants overlap on multicore hosts.
+  queries; NumPy releases the GIL inside LAPACK, but the scalar loop forfeits
+  the stacked batch oracles, and it wins no measured round, so it is a
+  forced-only backend (``backend="auto"`` never picks it).
 * :class:`ProcessPoolBackend` — worker *processes* fed through
   :mod:`multiprocessing.shared_memory` (:mod:`repro.engine.shm`), so
   GIL-bound pure-Python oracle paths (ESP tables, charpoly minor sums,
-  partition grids) get real multicore parallelism.
+  partition grids) and large per-query determinants get real multicore
+  parallelism.
+
+The ``auto`` backend (:mod:`repro.engine.planner`) routes each round between
+``vectorized`` and ``process`` on measured wall time; :attr:`ExecutionBackend.warm`
+tells it which rounds paid one-off pool start-up and must not count.
 
 Every backend charges the PRAM tracker identically: one adaptive round per
 batch, ``n_queries`` machines, with per-query determinant work charged by the
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import abc
 import atexit
+import contextlib
 import math
 import os
 import threading
@@ -34,8 +41,7 @@ import time
 import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,45 +49,6 @@ from repro import obs
 from repro.engine.batch import BatchPayload, OracleBatch, OracleBatchResult
 from repro.linalg.batch import grouped_log_principal_minors, hkpv_projection_step
 from repro.pram.tracker import Tracker, current_tracker, use_tracker
-
-
-@dataclass(frozen=True)
-class BackendTraits:
-    """Capability/overhead descriptor a backend reports to the planner.
-
-    The overhead fields are *priors*: the
-    :class:`~repro.engine.planner.RoundPlanner` replaces
-    ``dispatch_overhead_s`` with a per-process calibrated probe the first
-    time it seriously considers the backend, so the traits only need to land
-    in the right decade.
-
-    Attributes
-    ----------
-    parallelism:
-        Concurrent lanes the backend fans a batch out to (1 for the
-        in-process backends).
-    escapes_gil:
-        Whether GIL-bound (pure-Python) oracle work actually runs on
-        ``parallelism`` lanes — only true for worker *processes*; thread
-        lanes serialize the Python-lane share of a batch.
-    scalar_loop:
-        Whether queries are answered through scalar ``counting()`` calls
-        (serial/threads) instead of the distributions' stacked batch
-        oracles, forfeiting the vectorized fan-out.
-    dispatch_overhead_s:
-        Fixed cost of launching one batch (thread-pool handoff, or the
-        process backend's IPC round trip + payload publication).
-    per_query_overhead_s:
-        Marginal per-query dispatch cost (future bookkeeping, pickling of
-        query indices).
-    """
-
-    name: str
-    parallelism: int = 1
-    escapes_gil: bool = False
-    scalar_loop: bool = False
-    dispatch_overhead_s: float = 0.0
-    per_query_overhead_s: float = 0.0
 
 
 #: a ``_dispatch`` return: plain values, or ``(values, artifacts)``
@@ -119,20 +86,14 @@ class ExecutionBackend(abc.ABC):
         obs.record_round(batch, result, context=trace_context)
         return result
 
-    def traits(self) -> BackendTraits:
-        """This backend's capability/overhead descriptor (see :class:`BackendTraits`)."""
-        return BackendTraits(name=self.name)
+    @property
+    def warm(self) -> bool:
+        """Whether the next round runs without one-off start-up work.
 
-    def shipping_bytes(self, batch: OracleBatch) -> int:
-        """Payload bytes executing ``batch`` would move out of this process.
-
-        In-process backends move nothing.  The process backend estimates the
-        not-yet-published share of the batch's kernel payload so the planner
-        can price shm/pickle publication explicitly (wide matrix-backed
-        rounds pay it on their first shipment only — repeated rounds against
-        the same arrays ship just query indices).
+        The ``auto`` planner does not record a round that had to start a
+        pool: spin-up is not the backend's steady-state cost.
         """
-        return 0
+        return True
 
     # ------------------------------------------------------------------ #
     def _dispatch(self, batch: OracleBatch, tracker: Tracker) -> _DispatchReturn:
@@ -192,9 +153,6 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def traits(self) -> BackendTraits:
-        return BackendTraits(name=self.name, scalar_loop=True)
-
     def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
@@ -228,12 +186,6 @@ class VectorizedBackend(ExecutionBackend):
     """One stacked NumPy call per batch via the distributions' batch oracles."""
 
     name = "vectorized"
-
-    def traits(self) -> BackendTraits:
-        # single-threaded in-process execution: no dispatch cost at all, and
-        # the stacked batch oracles are the baseline every other backend's
-        # overhead is weighed against
-        return BackendTraits(name=self.name)
 
     def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         dist = batch.distribution
@@ -279,15 +231,6 @@ class ThreadPoolBackend(ExecutionBackend):
     def workers(self) -> int:
         """Resolved pool size (mirrors the ``concurrent.futures`` default)."""
         return self.max_workers or min(32, (os.cpu_count() or 1) + 4)
-
-    def traits(self) -> BackendTraits:
-        # effective lanes are host-capped: a 4-worker pool on a 1-core box
-        # overlaps nothing, and the planner must know that
-        return BackendTraits(
-            name=self.name, parallelism=min(self.workers, os.cpu_count() or 1),
-            escapes_gil=False, scalar_loop=True,
-            dispatch_overhead_s=5e-4, per_query_overhead_s=1e-5,
-        )
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -380,18 +323,36 @@ _WORKER_BLAS_ENV_VARS = (
 
 
 def _pin_worker_blas_threads() -> None:
-    """Worker-process initializer: pin BLAS/OpenMP pools to one thread.
+    """Pin BLAS/OpenMP pools to one thread through the environment.
 
     The process backend already fans out across ``max_workers`` processes;
     letting each worker's LAPACK additionally spawn ``cpu_count`` BLAS
-    threads oversubscribes wide hosts ``workers x cores``-fold and thrashes
-    caches.  Under ``spawn`` this runs before the first task unpickles (and
-    therefore before NumPy loads its BLAS), so the pin takes effect at
-    library initialization.  ``setdefault`` keeps explicit operator settings
-    (inherited through the environment) authoritative.
+    threads oversubscribes wide hosts ``workers x cores``-fold, and the
+    idle threads spin long enough to slow the parent's next in-process
+    round.  The pin only holds if it is in the environment before NumPy
+    loads its BLAS — see :func:`_pinned_environment`.  ``setdefault`` keeps
+    explicit operator settings authoritative.
     """
     for var in _WORKER_BLAS_ENV_VARS:
         os.environ.setdefault(var, "1")
+
+
+@contextlib.contextmanager
+def _pinned_environment() -> Iterator[None]:
+    """The BLAS pins in this process's environment for the block only.
+
+    A spawned worker re-imports the parent's main script — and with it
+    NumPy's BLAS — before any pool initializer runs, so workers must be
+    started while the pin is in the environment they inherit.  Variables
+    the block added are removed again on exit.
+    """
+    added = [var for var in _WORKER_BLAS_ENV_VARS if var not in os.environ]
+    _pin_worker_blas_threads()
+    try:
+        yield
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
 
 
 def _worker_new_arrays(payload: BatchPayload, distribution) -> Dict[str, np.ndarray]:
@@ -507,9 +468,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process"
 
-    #: bound on the remembered already-shipped array identities
-    SHIPPED_MEMO_CAPACITY = 256
-
     def __init__(self, max_workers: Optional[int] = None, *,
                  chunk_size: Optional[int] = None, start_method: str = "spawn",
                  shm_capacity: int = 64, pin_blas_threads: bool = True,
@@ -539,9 +497,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._degraded: Optional[str] = None  # reason, once permanently degraded
         self._broken_pools = 0  # consecutive pool deaths; bounded rebuild retries
         self._warned_specs: set = set()
-        #: ``id -> weakref`` memo of arrays already published to workers,
-        #: behind the planner-facing :meth:`shipping_bytes` estimate
-        self._shipped: "OrderedDict[int, object]" = OrderedDict()
         self._atexit_registered = False
 
     @property
@@ -549,13 +504,11 @@ class ProcessPoolBackend(ExecutionBackend):
         """Resolved worker-process count."""
         return self.max_workers or (os.cpu_count() or 1)
 
-    def traits(self) -> BackendTraits:
-        # effective lanes are host-capped (see ThreadPoolBackend.traits)
-        return BackendTraits(
-            name=self.name, parallelism=min(self.workers, os.cpu_count() or 1),
-            escapes_gil=True, scalar_loop=False,
-            dispatch_overhead_s=2e-3, per_query_overhead_s=5e-6,
-        )
+    @property
+    def warm(self) -> bool:
+        """``False`` until the worker pool is running (or the backend has
+        degraded to in-process execution for good)."""
+        return self._pool is not None or self._degraded is not None
 
     # ------------------------------------------------------------------ #
     # pool / store lifecycle
@@ -574,10 +527,14 @@ class ProcessPoolBackend(ExecutionBackend):
                 from concurrent.futures import ProcessPoolExecutor
 
                 context = multiprocessing.get_context(self.start_method)
-                initializer = _pin_worker_blas_threads if self.pin_blas_threads else None
                 self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                                 mp_context=context,
-                                                 initializer=initializer)
+                                                 mp_context=context)
+                # submit() starts one worker per call while none is idle, so
+                # this starts the whole pool now, inside the pinned window
+                with (_pinned_environment() if self.pin_blas_threads
+                      else contextlib.nullcontext()):
+                    for _ in range(self.workers):
+                        self._pool.submit(os.getpid)
                 self._register_atexit_locked()
             return self._pool
 
@@ -602,9 +559,6 @@ class ProcessPoolBackend(ExecutionBackend):
         with self._lock:
             pool, self._pool = self._pool, None
             store, self._store = self._store, None
-            # every published segment is about to be unlinked: forgetting the
-            # memo keeps shipping_bytes() honest about full republication
-            self._shipped.clear()
         if pool is not None:
             pool.shutdown(wait=True)
         if store is not None:
@@ -621,58 +575,6 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # shipping
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _payload_arrays(batch: OracleBatch) -> List[np.ndarray]:
-        """The heavy arrays shipping ``batch`` would publish (best effort)."""
-        arrays: List[np.ndarray] = []
-        if batch.matrix is not None:
-            arrays.append(batch.matrix)
-        if batch.distribution is not None:
-            try:
-                described = batch.distribution.worker_payload()
-            except Exception:
-                described = None
-            if described is not None:
-                arrays.extend(described[0].values())
-            else:
-                matrix = getattr(batch.distribution, "L", None)
-                if isinstance(matrix, np.ndarray):
-                    arrays.append(matrix)  # pickled whole; L dominates
-        return arrays
-
-    def shipping_bytes(self, batch: OracleBatch) -> int:
-        """Bytes of ``batch``'s payload not yet published to this backend.
-
-        The shm store ships each distinct array once, so only arrays this
-        backend has never shipped count; repeated rounds against the same
-        kernel objects estimate (correctly) as free.  The planner multiplies
-        this by the calibrated per-byte shipping coefficient to price very
-        wide matrix-backed rounds honestly.
-        """
-        total = 0
-        with self._lock:
-            for array in self._payload_arrays(batch):
-                ref = self._shipped.get(id(array))
-                if ref is None or ref() is not array:
-                    total += int(np.asarray(array).nbytes)
-        return total
-
-    def _mark_shipped(self, batch: OracleBatch) -> None:
-        import weakref
-
-        # the memo may not outlive the shm store's own LRU: once the store
-        # evicts a segment the array must count as unpublished again, so the
-        # memo is bounded by the store's capacity (FIFO approximates its LRU)
-        bound = min(self.SHIPPED_MEMO_CAPACITY, self.shm_capacity)
-        with self._lock:
-            for array in self._payload_arrays(batch):
-                try:
-                    self._shipped[id(array)] = weakref.ref(array)
-                except TypeError:  # pragma: no cover - non-weakrefable token
-                    continue
-            while len(self._shipped) > bound:
-                self._shipped.popitem(last=False)
-
     def _payload(self, batch: OracleBatch,
                  tracker: Optional[Tracker] = None) -> Optional[BatchPayload]:
         """Shippable payload for ``batch``, or ``None`` to fall back.
@@ -693,11 +595,9 @@ class ProcessPoolBackend(ExecutionBackend):
         if tracker is not None and tracker.cost_model is not DEFAULT_COST_MODEL:
             cost_model = tracker.cost_model
         try:
-            payload = batch.to_payload(publish=self._ensure_store().publish,
-                                       cost_model=cost_model,
-                                       want_artifacts=self.write_back)
-            self._mark_shipped(batch)
-            return payload
+            return batch.to_payload(publish=self._ensure_store().publish,
+                                    cost_model=cost_model,
+                                    want_artifacts=self.write_back)
         except Exception as exc:
             kind = type(batch.distribution).__name__ if batch.distribution is not None else "matrix"
             if kind not in self._warned_specs:

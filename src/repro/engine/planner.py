@@ -1,126 +1,95 @@
-"""Cost-aware execution planning: ``backend="auto"``.
+"""Measured execution routing: ``backend="auto"``.
 
-The paper states its speedup in a work/depth cost model, and the repo tracks
-that model (:mod:`repro.pram`) — but until this module, the *engine* ignored
-it when deciding how to run a round: callers hand-picked
-``serial``/``vectorized``/``threads``/``process``, and small rounds dispatched
-to ``process`` lost to the ~ms IPC round trip (a PR 3 discovery).  This is
-the same preprocessing-vs-per-sample cost tradeoff that motivates the
-amortized samplers in PAPERS.md, applied one level down: *per adaptive
-round*, pay a backend's dispatch overhead only when the round's compute
-dwarfs it.
+The paper charges a batch of independent counting queries as one adaptive
+round however it is executed (Proposition 13), so choosing a backend is pure
+wall-clock engineering: it never changes *what* a round computes, and
+``backend="auto"`` — the process-wide default installed by
+:mod:`repro.engine.config` — produces byte-identical fixed-seed samples to
+every forced backend.
 
-:class:`RoundPlanner` unifies the two cost vocabularies:
+:class:`RoundPlanner` routes the planned kinds (``counting``,
+``joint_marginals``, ``log_principal_minors``) between the two backends that
+win measured rounds: ``vectorized`` (stacked NumPy in-process, no dispatch
+cost) and ``process`` (worker processes over shared memory, which pay an IPC
+round trip but give GIL-bound oracle work and large determinants parallel
+lanes).  ``threads`` and ``serial`` stay available as forced backends; on
+measurement they never beat both of these.
 
-* the PRAM :class:`~repro.pram.cost.CostModel` prices a batch in abstract
-  work units (``queries x matrix_order^omega``);
-* :func:`~repro.pram.cost.calibrate_wall_clock` converts units to seconds
-  with per-process microbenchmarks (a LAPACK lane and an interpreted-Python
-  lane — the distinction that decides whether thread fan-out helps at all);
-* each :class:`~repro.engine.backends.ExecutionBackend` reports a
-  :class:`~repro.engine.backends.BackendTraits` descriptor (parallel lanes,
-  whether the Python lane escapes the GIL, dispatch overhead), whose
-  overhead field the planner replaces with a measured probe — executing a
-  trivial two-query batch through the backend — the first time the backend
-  is seriously considered (probing the process backend spins up its worker
-  pool, so the probe is deferred until a batch is plausibly heavy enough to
-  want it).
+Routing follows measured :attr:`~repro.engine.batch.OracleBatchResult.wall_time`,
+not a priced estimate.  Rounds are keyed by (batch kind, distribution family,
+power-of-two query bucket):
 
-For every :class:`~repro.engine.batch.OracleBatch` the planner combines the
-distribution's :meth:`~repro.distributions.base.SubsetDistribution.oracle_cost_hint`
-with the calibrated model, estimates wall-clock on every eligible backend,
-and picks the cheapest.  ``marginal_vector`` and ``projection_step`` rounds
-are *fixed-route* kinds (one numerical route on every backend), so the
-planner sends them to the zero-overhead in-process backend unconditionally.
+* a cold key runs on ``vectorized``;
+* once the key's in-process EWMA reaches :data:`PROCESS_FLOOR_S`, the
+  router tries ``process`` once;
+* from then on it follows the lower EWMA and re-measures the loser every
+  :data:`RETRY_EVERY`-th round of the key, so drift cannot lock in a stale
+  choice;
+* a round that had to start the worker pool is never recorded — spin-up is
+  a one-off, not the backend's steady-state cost.
 
-Backend choice never changes *what* a round computes, so ``backend="auto"``
-— the process-wide default installed by :mod:`repro.engine.config` —
-produces byte-identical fixed-seed samples to every forced backend; the
-planner is pure wall-clock engineering, exactly like the backends it
-arbitrates.
+``marginal_vector`` and ``projection_step`` rounds are *fixed-route* kinds
+(one numerical route on every backend), so they — and empty batches — go
+straight to ``vectorized`` without reading any measurement.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Deque, Dict, Optional, Tuple
 
 from repro import obs
-from repro.engine.backends import BackendTraits, ExecutionBackend
+from repro.engine.backends import ExecutionBackend
 from repro.engine.batch import OracleBatch, OracleBatchResult
-from repro.pram.cost import (
-    CalibratedCostModel,
-    CostModel,
-    DEFAULT_COST_MODEL,
-    OracleCostHint,
-    calibrated_cost_model,
-)
+from repro.pram.cost import DEFAULT_COST_MODEL, CostModel, OracleCostHint
 from repro.pram.tracker import Tracker
 
-__all__ = ["PlanDecision", "RoundPlanner", "AutoBackend", "probe_dispatch_overhead",
-           "should_refactorize"]
+__all__ = ["PlanDecision", "RoundPlanner", "AutoBackend", "should_refactorize",
+           "shape_bucket"]
 
-#: batch kinds the planner arbitrates; the other kinds are fixed-route
+#: batch kinds the planner routes; the other kinds are fixed-route
 PLANNED_KINDS = ("counting", "joint_marginals", "log_principal_minors")
 
-#: default candidate backends, cheapest-dispatch first (tie-break order)
-DEFAULT_CANDIDATES = ("vectorized", "threads", "process")
+#: the in-process default and the pooled challenger
+IN_PROCESS = "vectorized"
+POOLED = "process"
 
-#: interpreter overhead prior for one scalar ``counting()`` call (seconds);
-#: only the scalar-loop backends (serial/threads) pay it per query
-_SCALAR_CALL_OVERHEAD_S = 2e-5
+#: in-process seconds a key must reach before ``process`` is tried: below
+#: this the IPC round trip alone eats any parallel gain
+PROCESS_FLOOR_S = 2e-3
 
-#: a pooled backend is only *probed* (which may spin up its pool) once the
-#: estimate built from its traits prior says it would win a batch at least
-#: this expensive (seconds)
-_PROBE_FLOOR_S = 1e-3
+#: every this-many rounds of a key, the currently slower backend runs once
+RETRY_EVERY = 32
+
+#: weight of each new measurement in a key's per-backend EWMA
+EWMA_WEIGHT = 0.25
 
 
-def probe_dispatch_overhead(backend: ExecutionBackend, repeats: int = 3) -> float:
-    """Measured seconds to round-trip a trivial batch through ``backend``.
-
-    The probe batch is two ``1x1`` principal minors of a tiny matrix: its
-    compute is nanoseconds, so the best-of-``repeats`` wall time is almost
-    purely the backend's dispatch cost (thread-pool handoff; for the process
-    backend, payload publication plus one IPC round trip).  The first call
-    also pays pool spin-up — executing one warm-up batch before timing keeps
-    that out of the measurement.
-    """
-    matrix = np.eye(2)
-    batch = lambda: OracleBatch.log_principal_minors(  # noqa: E731
-        matrix, [(0,), (1,)], label="planner-probe")
-    backend.execute(batch(), tracker=Tracker())  # warm-up (pool spin-up, imports)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        backend.execute(batch(), tracker=Tracker())
-        best = min(best, time.perf_counter() - start)
-    return best
+def shape_bucket(queries: int) -> int:
+    """Bucket a batch width to the next power of two (1, 2, 4, ... 1024...)."""
+    q = max(1, int(queries))
+    return 1 << (q - 1).bit_length()
 
 
 def should_refactorize(hint: OracleCostHint, *,
-                       model: Optional[CalibratedCostModel] = None,
+                       model: CostModel = DEFAULT_COST_MODEL,
                        cap: int = 64) -> bool:
     """Patch-vs-recompute policy for incremental kernel updates.
 
     ``True`` when ``hint.update_depth`` (the mutation's position in the
-    fingerprint chain) has reached the calibrated break-even depth — the
-    point where the cumulative cost of ``O(n²)`` secular patches has paid
-    for one cold ``O(n³)`` refactorization, making the refresh (which also
-    resets accumulated patch rounding) amortized-free.  Factor-backed
+    fingerprint chain) has reached the work-unit break-even depth
+    (:meth:`~repro.pram.cost.CostModel.update_break_even_depth`) — the point
+    where the cumulative cost of ``O(n²)`` secular patches has paid for one
+    cold ``O(n³)`` refactorization, making the refresh (which also resets
+    accumulated patch rounding) amortized-free.  Factor-backed
     (``rank``-set) kernels patch exactly, so they refactorize only at the
     ``cap``.  This is the decision behind ``refactor="auto"`` on
     :meth:`repro.service.registry.KernelRegistry.apply_update` and the
     session/cluster ``update()`` facades.
     """
-    calibrated = calibrated_cost_model(model if model is not None
-                                       else DEFAULT_COST_MODEL)
-    return int(hint.update_depth) >= calibrated.update_break_even_depth(hint, cap=cap)
+    return int(hint.update_depth) >= model.update_break_even_depth(hint, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -131,81 +100,40 @@ class PlanDecision:
     label: str
     queries: int
     chosen: str
-    #: estimated seconds per candidate backend (empty for fixed-route kinds)
+    #: the key's measured EWMA seconds per backend when the round was routed
     estimates: Dict[str, float] = field(default_factory=dict)
-    #: why the batch skipped estimation ("fixed-route", "empty", ...) if it did
+    #: why the batch skipped routing ("fixed-route", "empty") if it did
     reason: str = ""
     #: distribution family label (class name, or "matrix" for minor batches)
     family: str = ""
 
 
-class RoundPlanner:
-    """Estimates per-backend wall-clock for a batch and picks the cheapest.
+@dataclass
+class _KeyStats:
+    """Measurements of one routing key (guarded by the planner's lock)."""
 
-    Parameters
-    ----------
-    cost_model:
-        The PRAM model to extend with wall-clock coefficients; a plain
-        :class:`CostModel` is calibrated on first use (cached per process),
-        a :class:`CalibratedCostModel` is used as-is — tests inject
-        hand-built coefficients this way.
-    candidates:
-        Backend names considered for planned kinds, resolved through the
-        shared name registry so pooled candidates reuse the same executors
-        as explicit ``backend="threads"``/``"process"`` callers.
-    backends:
-        Optional explicit ``name -> ExecutionBackend`` mapping overriding
-        name resolution (tests inject recording stubs here).
-    overheads:
-        Optional pre-seeded ``name -> seconds`` dispatch overheads,
-        bypassing the lazy probes (tests, or operators with known numbers).
-    feedback:
-        The :class:`~repro.obs.feedback.ObservedCostFeedback` whose learned
-        corrections rescale every candidate estimate (and which
-        :meth:`observe` feeds measured wall-times into).  ``None`` — the
-        default — resolves lazily to the process-wide ``repro.obs``
-        instance, which is disabled unless the operator arms it with
-        ``repro.obs.configure(feedback=True)``; tests inject their own.
+    rounds: int = 0
+    ewma: Dict[str, float] = field(default_factory=dict)
+
+
+class RoundPlanner:
+    """Routes each batch to ``vectorized`` or ``process`` by measured wall time.
+
+    ``backends`` optionally maps backend names to instances, overriding the
+    shared name registry (tests inject recording stubs here); by default the
+    pooled candidate resolves to the same executor explicit
+    ``backend="process"`` callers use.
     """
 
-    #: concurrency contract, enforced by ``repro.analysis`` (R2 + race
-    #: harness); the two documented benign races below carry R2 pragmas
-    _GUARDED_BY = {"_lock": ("_calibrated", "_overheads", "decisions")}
+    #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
+    _GUARDED_BY = {"_lock": ("_stats", "decisions")}
 
-    def __init__(self, cost_model: Optional[CostModel] = None, *,
-                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
-                 backends: Optional[Dict[str, ExecutionBackend]] = None,
-                 overheads: Optional[Dict[str, float]] = None,
-                 feedback=None, record: int = 64):
-        self._cost_model_input = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self._calibrated: Optional[CalibratedCostModel] = (
-            self._cost_model_input if isinstance(self._cost_model_input, CalibratedCostModel)
-            else None)
-        self.candidates = tuple(candidates)
+    def __init__(self, *, backends: Optional[Dict[str, ExecutionBackend]] = None,
+                 record: int = 64):
         self._backends = dict(backends) if backends is not None else None
-        self._overheads: Dict[str, float] = dict(overheads or {})
-        self._feedback = feedback
         self._lock = threading.Lock()
+        self._stats: Dict[Tuple[str, str, int], _KeyStats] = {}
         self.decisions: Deque[PlanDecision] = deque(maxlen=record)
-
-    @property
-    def feedback(self):
-        """The measured-cost feedback in effect (process-wide by default)."""
-        return self._feedback if self._feedback is not None else obs.feedback()
-
-    # ------------------------------------------------------------------ #
-    # lazily calibrated pieces
-    # ------------------------------------------------------------------ #
-    @property
-    def cost_model(self) -> CalibratedCostModel:
-        """The wall-clock-calibrated cost model (probes run on first access)."""
-        # repro: allow[R2] -- benign double-checked read: _calibrated only transitions None -> value, once, under the lock below
-        if self._calibrated is None:
-            with self._lock:
-                if self._calibrated is None:
-                    self._calibrated = calibrated_cost_model(self._cost_model_input)
-        # repro: allow[R2] -- benign unlocked read: monotonic None -> value transition committed above makes this stable
-        return self._calibrated
 
     def _backend(self, name: str) -> ExecutionBackend:
         if self._backends is not None:
@@ -214,182 +142,61 @@ class RoundPlanner:
 
         return resolve_backend(name)
 
-    def _overhead(self, name: str, traits: BackendTraits, single_lane_s: float) -> float:
-        """Dispatch overhead for ``name``: measured when warranted, prior otherwise.
-
-        Probing a pooled backend spins up its pool, so the probe only runs
-        once the traits-prior estimate says the backend could plausibly win
-        a batch of at least ``_PROBE_FLOOR_S`` single-lane seconds; until
-        then the prior stands in (which can only make the planner *more*
-        conservative about leaving the in-process backend).
-        """
-        cached = self._overheads.get(name)  # repro: allow[R2] -- benign racy read: a miss only risks one duplicate probe; setdefault under the lock commits the first measurement
-        if cached is not None:
-            return cached
-        if traits.dispatch_overhead_s == 0.0:
-            self._overheads[name] = 0.0  # repro: allow[R2] -- idempotent constant write (GIL-atomic dict store); every racer writes the same 0.0
-            return 0.0
-        if single_lane_s < max(_PROBE_FLOOR_S, traits.dispatch_overhead_s):
-            return traits.dispatch_overhead_s  # prior; not worth probing yet
-        # Probe WITHOUT holding the planner lock: the first process-backend
-        # probe spins up its worker pool (hundreds of ms), and concurrent
-        # choose() calls — even cheap fixed-route ones that only _record() —
-        # must not stall behind it.  A rare racing duplicate probe costs one
-        # extra trivial batch on the shared pool; setdefault keeps the first
-        # committed measurement authoritative.
-        try:
-            measured = probe_dispatch_overhead(self._backend(name))
-        except Exception:
-            measured = traits.dispatch_overhead_s
-        with self._lock:
-            return self._overheads.setdefault(name, measured)
-
-    # ------------------------------------------------------------------ #
-    # estimation
-    # ------------------------------------------------------------------ #
     @staticmethod
-    def _hint_for(batch: OracleBatch) -> OracleCostHint:
-        if batch.distribution is not None:
-            return batch.distribution.oracle_cost_hint()
-        # matrix-backed minors: stacked LAPACK over the largest subset order
-        assert batch.matrix is not None
-        order = max((len(s) for s in batch.subsets), default=1)
-        return OracleCostHint(matrix_order=max(order, 1), python_fraction=0.0,
-                              batch_vectorized=True)
+    def _route(stats: _KeyStats) -> str:
+        local = stats.ewma.get(IN_PROCESS)
+        pooled = stats.ewma.get(POOLED)
+        if local is None or (pooled is None and local < PROCESS_FLOOR_S):
+            return IN_PROCESS
+        if pooled is None:
+            return POOLED
+        winner, loser = ((IN_PROCESS, POOLED) if local <= pooled
+                         else (POOLED, IN_PROCESS))
+        return loser if stats.rounds % RETRY_EVERY == 0 else winner
 
-    def estimate(self, batch: OracleBatch) -> Dict[str, float]:
-        """Estimated wall-clock seconds per candidate backend for ``batch``.
-
-        Each candidate's static (calibrated-model) estimate is rescaled by
-        the measured-cost feedback correction for its
-        ``(backend, family, shape bucket)`` regime — a no-op multiplier of
-        1.0 until feedback is armed and that regime has been observed.
-        """
-        hint = self._hint_for(batch)
-        model = self.cost_model
-        queries = len(batch.subsets)
-        feedback = self.feedback
-        family = obs.family_of(batch)
-        total_s = model.estimate_batch_seconds(hint, queries)
-        python_s = model.python_seconds(hint, queries)
-        lapack_s = total_s - python_s
-        estimates: Dict[str, float] = {}
-        for name in self.candidates:
-            try:
-                backend = self._backend(name)
-                traits = backend.traits()
-            except Exception:
-                continue  # unknown/unconstructible candidate: skip it
-            lanes = max(1, min(traits.parallelism, queries))
-            if traits.name == "serial" or (traits.scalar_loop and lanes == 1):
-                cost = total_s + queries * _SCALAR_CALL_OVERHEAD_S
-            elif traits.scalar_loop:
-                # thread fan-out: LAPACK overlaps, but the Python lane —
-                # including the per-call interpreter overhead of the scalar
-                # loop — serializes on the GIL, so neither divides by lanes
-                cost = python_s + lapack_s / lanes + queries * _SCALAR_CALL_OVERHEAD_S
-            elif traits.escapes_gil:
-                # worker processes parallelize the GIL-bound share; the
-                # LAPACK share is priced at parity with in-process execution
-                # (workers pin BLAS to one thread each, while the parent's
-                # stacked calls may use a multithreaded BLAS — crediting the
-                # pool a lanes-fold LAPACK speedup would steal LAPACK-bound
-                # rounds that in-process execution serves at least as fast)
-                cost = python_s / lanes + lapack_s
-            else:
-                cost = total_s
-            if not hint.batch_vectorized and not traits.scalar_loop:
-                # the batch oracle is the generic scalar loop anyway: the
-                # "vectorized" backend degenerates to serial per-call costs,
-                # while worker processes run that loop on parallel lanes
-                cost += queries * _SCALAR_CALL_OVERHEAD_S / (
-                    lanes if traits.escapes_gil else 1)
-            single_lane = total_s + (queries * _SCALAR_CALL_OVERHEAD_S
-                                     if traits.scalar_loop else 0.0)
-            cost += self._overhead(name, traits, single_lane)
-            cost += queries * traits.per_query_overhead_s
-            if traits.escapes_gil:
-                # out-of-process execution publishes the batch's payload:
-                # charge the calibrated per-byte shipping coefficient for the
-                # not-yet-published share (the backend's shm store ships each
-                # distinct array once, so warm kernels estimate as free and
-                # only very wide first-shipment rounds pay real seconds here)
-                shipping = getattr(backend, "shipping_bytes", None)
-                if shipping is not None:
-                    try:
-                        cost += model.shipping_seconds(shipping(batch))
-                    except Exception:
-                        pass  # estimation must never fail a round
-            estimates[name] = cost * feedback.correction(name, family, queries)
-        return estimates
-
-    # ------------------------------------------------------------------ #
     def plan(self, batch: OracleBatch) -> Tuple[ExecutionBackend, PlanDecision]:
-        """The cheapest eligible backend for ``batch``, with its decision.
-
-        Fixed-route kinds and empty batches go straight to the in-process
-        backend; everything else is estimated.  Candidate order breaks ties
-        (``vectorized`` first), so an overhead-free in-process answer is
-        never abandoned for a same-cost pooled one.
-        """
+        """The backend ``batch`` should run on, with its decision."""
         family = obs.family_of(batch)
-        fallback = self._backend(self.candidates[0])
-        if batch.kind not in PLANNED_KINDS:
+        reason = ("fixed-route" if batch.kind not in PLANNED_KINDS
+                  else "empty" if not batch.subsets else "")
+        chosen, estimates = IN_PROCESS, {}
+        with self._lock:
+            if not reason:
+                key = (batch.kind, family, shape_bucket(batch.n_queries))
+                stats = self._stats.setdefault(key, _KeyStats())
+                stats.rounds += 1
+                chosen = self._route(stats)
+                estimates = dict(stats.ewma)
             decision = PlanDecision(kind=batch.kind, label=batch.label,
-                                    queries=batch.n_queries, chosen=fallback.name,
-                                    reason="fixed-route", family=family)
-            self._record(decision)
-            return fallback, decision
-        if not batch.subsets:
-            decision = PlanDecision(kind=batch.kind, label=batch.label, queries=0,
-                                    chosen=fallback.name, reason="empty",
+                                    queries=batch.n_queries, chosen=chosen,
+                                    estimates=estimates, reason=reason,
                                     family=family)
-            self._record(decision)
-            return fallback, decision
-        estimates = self.estimate(batch)
-        if not estimates:
-            decision = PlanDecision(kind=batch.kind, label=batch.label,
-                                    queries=len(batch.subsets),
-                                    chosen=fallback.name,
-                                    reason="no-candidates", family=family)
-            self._record(decision)
-            return fallback, decision
-        chosen = min(estimates, key=lambda name: estimates[name])
-        decision = PlanDecision(kind=batch.kind, label=batch.label,
-                                queries=len(batch.subsets), chosen=chosen,
-                                estimates=estimates, family=family)
-        self._record(decision)
-        return self._backend(chosen), decision
+            self.decisions.append(decision)
+        obs.record_plan(decision)
+        return self._backend(decision.chosen), decision
 
     def choose(self, batch: OracleBatch) -> ExecutionBackend:
-        """The cheapest eligible backend for ``batch`` (see :meth:`plan`)."""
+        """The backend ``batch`` should run on (see :meth:`plan`)."""
         return self.plan(batch)[0]
 
     def observe(self, decision: PlanDecision, result: OracleBatchResult) -> None:
-        """Feed a routed round's measured wall time back into pricing.
+        """Fold a routed round's measured wall time into its key's EWMA.
 
-        Records predicted-vs-actual in the metrics registry and — when the
-        feedback knob is armed — updates the EWMA correction for the
-        decision's ``(backend, family, shape bucket)`` regime.  Only
-        estimated decisions carry a prediction; fixed-route/empty rounds
-        have nothing to compare against.
+        Fixed-route and empty decisions carry no key and are ignored.  The
+        prediction-ratio histogram compares the EWMA the round was routed on
+        against the new measurement.
         """
-        predicted = decision.estimates.get(decision.chosen)
-        if predicted is None:
+        if decision.reason:
             return
-        obs.observe_round_cost(decision.chosen, decision.family,
-                               decision.queries, predicted, result.wall_time)
-        feedback = self._feedback
-        if feedback is not None and feedback is not obs.feedback():
-            # an injected feedback object learns too (obs.observe_round_cost
-            # only feeds the process-wide instance)
-            feedback.observe(decision.chosen, decision.family,
-                             decision.queries, predicted, result.wall_time)
-
-    def _record(self, decision: PlanDecision) -> None:
+        predicted = decision.estimates.get(decision.chosen)
+        if predicted is not None:
+            obs.observe_round_cost(decision.chosen, predicted, result.wall_time)
+        key = (decision.kind, decision.family, shape_bucket(decision.queries))
         with self._lock:
-            self.decisions.append(decision)
-        obs.record_plan(decision)
+            ewma = self._stats.setdefault(key, _KeyStats()).ewma
+            previous = ewma.get(decision.chosen)
+            ewma[decision.chosen] = (result.wall_time if previous is None else
+                                     previous + EWMA_WEIGHT * (result.wall_time - previous))
 
     @property
     def last_decision(self) -> Optional[PlanDecision]:
@@ -398,7 +205,7 @@ class RoundPlanner:
 
 
 class AutoBackend(ExecutionBackend):
-    """The planner as a backend: every batch runs on the cheapest estimate.
+    """The planner as a backend: every batch runs where it measured fastest.
 
     This is what ``backend="auto"`` (the process-wide default) resolves to.
     Explicit ``backend=`` arguments bypass it entirely — forcing a backend
@@ -409,23 +216,16 @@ class AutoBackend(ExecutionBackend):
 
     name = "auto"
 
-    def __init__(self, planner: Optional[RoundPlanner] = None, *,
-                 cost_model: Optional[CostModel] = None,
-                 candidates: Optional[Sequence[str]] = None):
-        if planner is not None and (cost_model is not None or candidates is not None):
-            raise ValueError("pass either a ready planner or its options, not both")
-        self.planner = planner if planner is not None else RoundPlanner(
-            cost_model, candidates=tuple(candidates) if candidates is not None
-            else DEFAULT_CANDIDATES)
+    def __init__(self, planner: Optional[RoundPlanner] = None):
+        self.planner = planner if planner is not None else RoundPlanner()
 
     def execute(self, batch: OracleBatch, *, tracker: Optional[Tracker] = None) -> OracleBatchResult:
         backend, decision = self.planner.plan(batch)
+        warm = backend.warm
         result = backend.execute(batch, tracker=tracker)
-        self.planner.observe(decision, result)
+        if warm:
+            self.planner.observe(decision, result)
         return result
-
-    def traits(self) -> BackendTraits:
-        return BackendTraits(name=self.name)
 
     # the abstract hooks are never reached — execute() is fully delegated
     def _counting(self, batch, tracker):  # pragma: no cover

@@ -14,25 +14,17 @@ Theorem 1/8/9/10/11 bound.
 """
 
 from repro.pram.cost import (
-    CalibratedCostModel,
     CostModel,
     OracleCostHint,
     RoundCharge,
-    WallClockCoefficients,
-    calibrate_wall_clock,
-    calibrated_cost_model,
 )
 from repro.pram.tracker import Tracker, current_tracker, use_tracker, null_tracker
 from repro.pram.schedule import parallel_map, parallel_branches
 
 __all__ = [
-    "CalibratedCostModel",
     "CostModel",
     "OracleCostHint",
     "RoundCharge",
-    "WallClockCoefficients",
-    "calibrate_wall_clock",
-    "calibrated_cost_model",
     "Tracker",
     "current_tracker",
     "use_tracker",

@@ -1,26 +1,34 @@
-"""Tests for the cost-aware execution planner (``backend="auto"``).
+"""Tests for the measured execution router (``backend="auto"``).
 
-Covers the ISSUE-4 routing contract: small rounds stay on the in-process
-vectorized backend, large pure-Python rounds route to the process backend,
-explicit ``backend=`` choices are always honored, fixed-seed samples are
-identical under ``auto`` and every forced backend (including the spectral
-sampler now routed through the engine), and the parent cost model ships to
-process workers for exact work parity.
+Covers the routing contract: a cold round shape runs on ``vectorized``,
+shapes under the floor never touch ``process``, heavy shapes try
+``process`` once and then follow the faster measurement (re-measuring the
+loser every ``RETRY_EVERY``-th round), pool spin-up rounds are not
+recorded, fixed-route and empty batches never read measurements, explicit
+``backend=`` choices are always honored, and fixed-seed samples are
+identical under ``auto`` and every forced backend — including when the
+router switches backends in the middle of a draw.  Stub backends report
+scripted wall times, so every routing assertion is host-independent.
 """
 
+import dataclasses
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.distributions.generic import ExplicitDistribution
+from repro import obs
+from repro.analysis.runtime import guard_instance
 from repro.dpp.partition import PartitionDPP
 from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine import (
     AutoBackend,
-    BackendTraits,
+    ExecutionBackend,
     OracleBatch,
+    OracleBatchResult,
     ProcessPoolBackend,
     RoundPlanner,
     SerialBackend,
@@ -31,115 +39,90 @@ from repro.engine import (
     use_backend,
 )
 from repro.engine.backends import _pin_worker_blas_threads, _WORKER_BLAS_ENV_VARS
-from repro.engine.planner import PLANNED_KINDS
+from repro.engine.planner import (
+    PLANNED_KINDS,
+    PROCESS_FLOOR_S,
+    RETRY_EVERY,
+    shape_bucket,
+)
+from repro.core.nonsymmetric import sample_nonsymmetric_kdpp_parallel
 from repro.core.symmetric import sample_symmetric_kdpp_parallel
 from repro.core.partition import sample_partition_dpp_parallel
-from repro.pram.cost import (
-    CalibratedCostModel,
-    CostModel,
-    OracleCostHint,
-    WallClockCoefficients,
-    calibrate_wall_clock,
-    calibrated_cost_model,
-)
+from repro.pram.cost import CostModel
 from repro.pram.tracker import Tracker, use_tracker
-from repro.workloads import random_psd_ensemble
+from repro.workloads import random_npsd_ensemble, random_psd_ensemble
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------- #
-# traits and the calibrated cost model
+# recording stub backends with scripted wall times
 # ---------------------------------------------------------------------- #
-class TestTraitsAndCalibration:
-    def test_backend_traits_shapes(self):
-        cores = os.cpu_count() or 1
-        vec = VectorizedBackend().traits()
-        assert vec.dispatch_overhead_s == 0.0 and not vec.scalar_loop
-        ser = SerialBackend().traits()
-        assert ser.scalar_loop and ser.parallelism == 1
-        thr = ThreadPoolBackend(max_workers=3).traits()
-        assert thr.scalar_loop and not thr.escapes_gil
-        assert thr.parallelism == min(3, cores)  # effective lanes are host-capped
-        proc = ProcessPoolBackend(max_workers=2).traits()
-        assert proc.escapes_gil and proc.parallelism == min(2, cores)
-        assert proc.dispatch_overhead_s > thr.dispatch_overhead_s
+class _Scripted(ExecutionBackend):
+    """Backend reporting ``script(call_index)`` as its wall time.
 
-    def test_calibration_cached_per_process(self):
-        first = calibrate_wall_clock()
-        second = calibrate_wall_clock()
-        assert first is second
-        assert first.seconds_per_flop_unit > 0
-        # interpreted python is far slower per work unit than LAPACK
-        assert first.seconds_per_python_unit > first.seconds_per_flop_unit
+    With an ``inner`` backend the values are real (samples stay exact);
+    without one the stub answers zeros.  Every call appends the stub's name
+    to the shared ``log``.
+    """
 
-    def test_calibrated_model_preserves_pram_schedule(self):
-        base = CostModel(determinant_exponent=2.5)
-        model = calibrated_cost_model(base)
-        assert isinstance(model, CalibratedCostModel)
-        assert model.determinant_work(10) == base.determinant_work(10)
-        # already-calibrated models pass through untouched
-        assert calibrated_cost_model(model) is model
+    #: a plain attribute shadowing the base property, so tests can mark the
+    #: next round as a pool spin-up
+    warm = True
 
-    def test_estimate_batch_seconds_splits_lanes(self):
-        model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_flop_unit=1e-9, seconds_per_python_unit=1e-6))
-        lapack = OracleCostHint(matrix_order=20, python_fraction=0.0)
-        scalar_python = OracleCostHint(matrix_order=20, python_fraction=1.0,
-                                       batch_vectorized=False)
-        # a fully interpreted scalar loop prices the full n^omega work at the
-        # (1000x dearer) python coefficient
-        assert model.estimate_batch_seconds(scalar_python, 10) == pytest.approx(
-            1000 * model.estimate_batch_seconds(lapack, 10))
-        assert model.python_seconds(lapack, 10) == 0.0
-        assert model.python_seconds(scalar_python, 10) == pytest.approx(
-            model.estimate_batch_seconds(scalar_python, 10))
-        # a vectorized oracle's interpreted share sits one order below the
-        # determinant work (bookkeeping around stacked LAPACK calls)
-        vector_python = OracleCostHint(matrix_order=20, python_fraction=1.0)
-        assert model.python_seconds(vector_python, 10) == pytest.approx(
-            model.python_seconds(scalar_python, 10) / 20)
+    def __init__(self, name, script, inner=None, log=None):
+        self.name = name
+        self.script = script
+        self.inner = inner
+        self.calls = 0
+        self.log = log if log is not None else []
+
+    def execute(self, batch, *, tracker=None):
+        wall = self.script(self.calls)
+        self.calls += 1
+        self.log.append(self.name)
+        if self.inner is not None:
+            result = self.inner.execute(batch, tracker=tracker)
+            return dataclasses.replace(result, wall_time=wall)
+        return OracleBatchResult(values=np.zeros(batch.n_queries),
+                                 backend=self.name, wall_time=wall,
+                                 n_queries=batch.n_queries)
+
+    def _counting(self, batch, tracker):  # pragma: no cover
+        raise NotImplementedError
+
+    def _joint_marginals(self, batch, tracker):  # pragma: no cover
+        raise NotImplementedError
+
+    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
+        raise NotImplementedError
 
 
-# ---------------------------------------------------------------------- #
-# planner routing decisions
-# ---------------------------------------------------------------------- #
-class _FakeThreads(VectorizedBackend):
-    """Thread-shaped traits with in-process execution (host-independent tests)."""
-
-    name = "threads"
-
-    def traits(self):
-        return BackendTraits(name=self.name, parallelism=4, scalar_loop=True,
-                             dispatch_overhead_s=5e-4, per_query_overhead_s=1e-5)
+def _constant(seconds):
+    return lambda call: seconds
 
 
-class _FakeProcess(VectorizedBackend):
-    """Process-shaped traits with in-process execution (no pools in tests)."""
+def _router(vectorized_s, process_s):
+    """An auto backend over two stubs; returns ``(auto, vectorized, process)``."""
+    log = []
+    vec = _Scripted("vectorized", vectorized_s if callable(vectorized_s)
+                    else _constant(vectorized_s), log=log)
+    proc = _Scripted("process", process_s if callable(process_s)
+                     else _constant(process_s), log=log)
+    planner = RoundPlanner(backends={"vectorized": vec, "process": proc})
+    return AutoBackend(planner), vec, proc
 
-    name = "process"
 
-    def traits(self):
-        return BackendTraits(name=self.name, parallelism=4, escapes_gil=True,
-                             dispatch_overhead_s=2e-3, per_query_overhead_s=5e-6)
+def _minors(queries=8):
+    return OracleBatch.log_principal_minors(np.eye(8), [(i % 8,) for i in range(queries)])
 
 
-def _make_planner(**overrides):
-    """A planner with deterministic coefficients, stubbed 4-lane pooled
-    backends, and pre-seeded overheads — no probes run, no pools spin up,
-    and decisions depend only on the math, not the host's core count."""
-    model = CalibratedCostModel(coefficients=WallClockCoefficients(
-        seconds_per_flop_unit=1e-9, seconds_per_python_unit=1e-6))
-    options = dict(
-        backends={
-            "vectorized": VectorizedBackend(),
-            "threads": _FakeThreads(),
-            "process": _FakeProcess(),
-        },
-        overheads={"vectorized": 0.0, "threads": 5e-4, "process": 2e-3},
-    )
-    options.update(overrides)
-    return RoundPlanner(model, **options)
+def _run(auto, rounds, batch=_minors):
+    chosen = []
+    for _ in range(rounds):
+        auto.execute(batch(), tracker=Tracker())
+        chosen.append(auto.planner.last_decision.chosen)
+    return chosen
 
 
 @pytest.fixture(scope="module")
@@ -153,32 +136,151 @@ def partition_dpp():
     return PartitionDPP(L, [list(range(15)), list(range(15, 30))], [3, 2])
 
 
+# ---------------------------------------------------------------------- #
+# the measured router
+# ---------------------------------------------------------------------- #
+class TestRouter:
+    def test_shape_bucket_powers_of_two(self):
+        assert shape_bucket(1) == 1
+        assert shape_bucket(2) == 2
+        assert shape_bucket(3) == 4
+        assert shape_bucket(100) == 128
+
+    def test_cold_key_runs_vectorized(self):
+        auto, vec, proc = _router(10.0, 1e-6)  # process would win by far
+        assert _run(auto, 1) == ["vectorized"]
+        assert proc.calls == 0
+        assert auto.planner.last_decision.estimates == {}
+
+    def test_key_under_floor_never_touches_process(self):
+        auto, vec, proc = _router(PROCESS_FLOOR_S / 2, 1e-6)
+        chosen = _run(auto, 3 * RETRY_EVERY)
+        assert set(chosen) == {"vectorized"}
+        assert proc.calls == 0
+
+    def test_heavy_key_tries_process_once_then_follows_faster(self):
+        faster, _, _ = _router(10 * PROCESS_FLOOR_S, PROCESS_FLOOR_S / 4)
+        assert _run(faster, 6) == ["vectorized"] + ["process"] * 5
+        slower, _, proc = _router(10 * PROCESS_FLOOR_S, 50 * PROCESS_FLOOR_S)
+        assert _run(slower, 6) == ["vectorized", "process"] + ["vectorized"] * 4
+        assert proc.calls == 1
+
+    def test_router_follows_the_lower_ewma(self):
+        # process wins its trial, then turns slow: the EWMA hands the key
+        # back to vectorized within a few rounds
+        auto, _, _ = _router(10 * PROCESS_FLOOR_S,
+                             lambda call: PROCESS_FLOOR_S if call == 0 else 1.0)
+        chosen = _run(auto, 6)
+        assert chosen[:3] == ["vectorized", "process", "process"]
+        assert chosen[3:] == ["vectorized"] * 3
+        decision = auto.planner.last_decision
+        assert decision.estimates["process"] > decision.estimates["vectorized"]
+
+    def test_loser_retried_every_32nd_round(self):
+        auto, vec, _ = _router(10 * PROCESS_FLOOR_S, PROCESS_FLOOR_S)
+        chosen = _run(auto, 2 * RETRY_EVERY + 1)
+        retries = [i + 1 for i, name in enumerate(chosen)
+                   if i > 0 and name == "vectorized"]
+        assert retries == [RETRY_EVERY, 2 * RETRY_EVERY]
+        assert chosen[RETRY_EVERY] == "process"  # back to the winner
+        assert vec.calls == 3
+
+    def test_keys_are_independent(self):
+        auto, _, _ = _router(10 * PROCESS_FLOOR_S, PROCESS_FLOOR_S)
+        _run(auto, 3)  # the 8-query key now prefers process
+        assert _run(auto, 1, batch=lambda: _minors(queries=100)) == ["vectorized"]
+        counting = OracleBatch.counting(SymmetricKDPP(np.eye(8), 2), [(0,)] * 8)
+        assert _run(auto, 1, batch=lambda: counting) == ["vectorized"]
+
+    def test_pool_spin_up_round_not_recorded(self):
+        def spin_up_then_fast(call):
+            return 1.0 if call == 0 else PROCESS_FLOOR_S
+
+        auto, _, proc = _router(10 * PROCESS_FLOOR_S, spin_up_then_fast)
+        _run(auto, 1)
+        proc.warm = False  # the trial round has to start the pool
+        assert _run(auto, 1) == ["process"]
+        proc.warm = True
+        # the 1 s spin-up never entered the EWMA: still no process
+        # measurement, so the next round tries process again
+        assert _run(auto, 1) == ["process"]
+        assert "process" not in auto.planner.last_decision.estimates
+        _run(auto, 1)
+        assert auto.planner.last_decision.estimates["process"] == pytest.approx(
+            PROCESS_FLOOR_S)
+
+    def test_fixed_route_and_empty_batches_never_read_measurements(self, small_kdpp):
+        auto, _, proc = _router(10 * PROCESS_FLOOR_S, PROCESS_FLOOR_S)
+        batches = [OracleBatch.marginal_vector(small_kdpp),
+                   OracleBatch.projection_step(np.eye(6)[:, :3]),
+                   OracleBatch.counting(small_kdpp, [])]
+        for batch in batches:
+            backend, decision = auto.planner.plan(batch)
+            assert backend.name == "vectorized" and decision.estimates == {}
+        assert auto.planner._stats == {}
+        assert proc.calls == 0
+
+    def test_concurrent_rounds_lose_no_update(self):
+        # serving threads share one planner: every round must be counted
+        # and every guarded access must hold the lock
+        violations = []
+        auto, _, _ = _router(10 * PROCESS_FLOOR_S, PROCESS_FLOOR_S)
+        guard_instance(auto.planner, collector=violations)
+        threads, rounds = 8, 50
+        workers = [threading.Thread(target=_run, args=(auto, rounds))
+                   for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert violations == []
+        with auto.planner._lock:
+            (stats,) = auto.planner._stats.values()
+            assert stats.rounds == threads * rounds
+
+    def test_removed_options_are_rejected(self):
+        for options in ({"cost_model": CostModel()}, {"candidates": ("threads",)},
+                        {"overheads": {}}, {"feedback": None}):
+            with pytest.raises(TypeError):
+                RoundPlanner(**options)
+        with pytest.raises(TypeError):
+            obs.configure(feedback=True)
+
+
 class TestPlannerRouting:
     def test_small_round_stays_vectorized(self, small_kdpp):
-        planner = _make_planner()
-        batch = OracleBatch.counting(small_kdpp, [(0,), (1,), (2, 3)])
-        assert planner.choose(batch).name == "vectorized"
-        decision = planner.last_decision
-        assert decision.chosen == "vectorized"
-        assert set(decision.estimates) == {"vectorized", "threads", "process"}
+        auto, _, proc = _router(PROCESS_FLOOR_S / 10, 1e-6)
+        batch = lambda: OracleBatch.counting(small_kdpp, [(0,), (1,), (2, 3)])  # noqa: E731
+        assert _run(auto, 4, batch=batch) == ["vectorized"] * 4
+        assert auto.planner.last_decision.estimates == {
+            "vectorized": pytest.approx(PROCESS_FLOOR_S / 10)}
+        assert proc.calls == 0
 
     def test_large_python_bound_round_goes_to_process(self, partition_dpp):
-        planner = _make_planner()
+        auto, _, _ = _router(0.040, 0.015)
         subsets = [(i % partition_dpp.n,) for i in range(400)]
-        batch = OracleBatch.counting(partition_dpp, subsets)
-        assert planner.choose(batch).name == "process"
-        estimates = planner.last_decision.estimates
+        chosen = _run(auto, 3, batch=lambda: OracleBatch.counting(partition_dpp, subsets))
+        assert chosen == ["vectorized", "process", "process"]
+        estimates = auto.planner.last_decision.estimates
         assert estimates["process"] < estimates["vectorized"]
 
     def test_large_lapack_round_prefers_in_process(self, small_kdpp):
-        # plenty of queries, but all LAPACK-bound on a tiny kernel: the
-        # process pool's IPC overhead cannot pay for itself
-        planner = _make_planner()
-        batch = OracleBatch.counting(small_kdpp, [(0,), (1,)] * 50)
-        assert planner.choose(batch).name == "vectorized"
+        # plenty of queries, but the IPC round trip costs more than the
+        # in-process stacked LAPACK call: one trial, then back in-process
+        auto, _, proc = _router(0.005, 0.008)
+        batch = lambda: OracleBatch.counting(small_kdpp, [(0,), (1,)] * 50)  # noqa: E731
+        assert _run(auto, 4, batch=batch) == ["vectorized", "process",
+                                               "vectorized", "vectorized"]
+        assert proc.calls == 1
 
     def test_fixed_route_kinds_skip_estimation(self, small_kdpp):
-        planner = _make_planner()
+        planner = RoundPlanner()
         marginal = OracleBatch.marginal_vector(small_kdpp)
         assert planner.choose(marginal).name == "vectorized"
         assert planner.last_decision.reason == "fixed-route"
@@ -188,31 +290,22 @@ class TestPlannerRouting:
         assert projection.kind not in PLANNED_KINDS
 
     def test_empty_batch_short_circuits(self, small_kdpp):
-        planner = _make_planner()
+        planner = RoundPlanner()
         batch = OracleBatch.counting(small_kdpp, [])
         assert planner.choose(batch).name == "vectorized"
         assert planner.last_decision.reason == "empty"
-
-    def test_generic_distribution_hint_is_python_bound(self):
-        table = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 0.5}
-        dist = ExplicitDistribution(3, table, cardinality=2)
-        hint = dist.oracle_cost_hint()
-        assert hint.batch_vectorized  # explicit tables vectorize in one pass
-        from repro.distributions.base import SubsetDistribution
-
-        default = SubsetDistribution.oracle_cost_hint(dist)
-        assert default.python_fraction == 1.0 and not default.batch_vectorized
-
-    def test_seeded_overheads_prevent_probes(self, small_kdpp):
-        planner = _make_planner()
-        planner.choose(OracleBatch.counting(small_kdpp, [(0,)]))
-        # overheads were injected, so nothing was measured/overwritten
-        assert planner._overheads["process"] == 2e-3
 
 
 # ---------------------------------------------------------------------- #
 # the auto backend: defaults, overrides, seeded identity
 # ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def process_backend():
+    backend = ProcessPoolBackend(max_workers=2)
+    yield backend
+    backend.close()
+
+
 class TestAutoBackend:
     def test_auto_is_registered_and_memoized(self):
         auto = resolve_backend("auto")
@@ -220,17 +313,21 @@ class TestAutoBackend:
         assert resolve_backend("auto") is auto
 
     def test_auto_rejects_conflicting_construction(self):
-        with pytest.raises(ValueError, match="not both"):
+        # a ready planner is the only way to configure auto: the old pricing
+        # options are gone
+        with pytest.raises(TypeError):
             AutoBackend(RoundPlanner(), cost_model=CostModel())
+        with pytest.raises(TypeError):
+            AutoBackend(candidates=("vectorized", "threads"))
 
     def test_result_reports_inner_backend(self, small_kdpp):
-        auto = AutoBackend(_make_planner())
+        auto = AutoBackend(RoundPlanner(backends={"vectorized": VectorizedBackend()}))
         result = auto.execute(OracleBatch.counting(small_kdpp, [(0,), (1,)]),
                               tracker=Tracker())
         assert result.backend == "vectorized"
 
     def test_explicit_backend_bypasses_planner(self, small_kdpp):
-        auto = AutoBackend(_make_planner())
+        auto = AutoBackend(RoundPlanner())
         with use_backend(auto):
             before = len(auto.planner.decisions)
             result = resolve_backend("serial").execute(
@@ -239,22 +336,11 @@ class TestAutoBackend:
             assert len(auto.planner.decisions) == before
 
     def test_routed_batch_executes_on_chosen_backend(self, partition_dpp):
-        executed = []
-
-        class Recording(_FakeProcess):
-            def execute(self, batch, *, tracker=None):
-                executed.append(batch.kind)
-                return super().execute(batch, tracker=tracker)
-
-        planner = _make_planner(backends={
-            "vectorized": VectorizedBackend(),
-            "threads": _FakeThreads(),
-            "process": Recording(),
-        })
-        auto = AutoBackend(planner)
+        auto, vec, proc = _router(0.040, 0.015)
         subsets = [(i % partition_dpp.n,) for i in range(400)]
-        auto.execute(OracleBatch.counting(partition_dpp, subsets), tracker=Tracker())
-        assert executed == ["counting"]
+        _run(auto, 2, batch=lambda: OracleBatch.counting(partition_dpp, subsets))
+        assert vec.log == ["vectorized", "process"]
+        assert (vec.calls, proc.calls) == (1, 1)
 
     @pytest.mark.parametrize("forced", ["serial", "vectorized", "threads"])
     def test_auto_identical_to_forced_symmetric(self, forced):
@@ -281,6 +367,52 @@ class TestAutoBackend:
         assert sample_kdpp_spectral(L, 5, seed=21, backend=forced) == reference
         dpp_reference = sample_dpp_spectral(L, seed=22, backend="vectorized")
         assert sample_dpp_spectral(L, seed=22, backend=forced) == dpp_reference
+
+
+def _thm10(backend):
+    L = random_psd_ensemble(60, rank=30, seed=3)
+    return sample_symmetric_kdpp_parallel(L, 20, seed=11, backend=backend)
+
+
+def _thm8(backend):
+    return sample_nonsymmetric_kdpp_parallel(random_npsd_ensemble(20, seed=19), 10,
+                                             seed=41, backend=backend)
+
+
+def _thm9(backend):
+    L = random_psd_ensemble(16, seed=9)
+    return sample_partition_dpp_parallel(L, [list(range(8)), list(range(8, 16))],
+                                         [4, 4], seed=213, backend=backend)
+
+
+@pytest.mark.skipif(not shared_memory_available(),
+                    reason="multiprocessing.shared_memory unavailable")
+class TestMidDrawSwitch:
+    """The router moves to ``process`` and back inside one draw.
+
+    ``vectorized`` always reports 20 ms (above the floor); ``process``
+    reports 1 ms for its first round — so the router adopts it — and 1 s
+    after that, so the EWMA hands the key back.  Both stubs compute real
+    values (the process one through worker processes), and the draw must
+    equal forced ``vectorized`` subset for subset and round for round.
+    """
+
+    @pytest.mark.parametrize("draw", [_thm8, _thm9, _thm10],
+                             ids=["thm8-nonsymmetric", "thm9-partition",
+                                  "thm10-symmetric"])
+    def test_switching_draw_identical_to_forced_vectorized(self, draw, process_backend):
+        log = []
+        vec = _Scripted("vectorized", _constant(10 * PROCESS_FLOOR_S),
+                        inner=VectorizedBackend(), log=log)
+        proc = _Scripted("process", lambda call: 1e-3 if call == 0 else 1.0,
+                         inner=process_backend, log=log)
+        auto = AutoBackend(RoundPlanner(backends={"vectorized": vec, "process": proc}))
+        switched = draw(auto)
+        reference = draw("vectorized")
+        first_process = log.index("process")
+        assert "vectorized" in log[first_process:], log
+        assert switched.subset == reference.subset
+        assert switched.report.rounds == reference.report.rounds
 
 
 # ---------------------------------------------------------------------- #
@@ -362,6 +494,19 @@ class TestProcessBackendSatellites:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
         assert os.environ["MKL_NUM_THREADS"] == "7"
 
+    def test_pool_workers_start_with_the_pin(self, monkeypatch):
+        # workers load NumPy before any initializer runs, so the pin must be
+        # in the environment they inherit — and only theirs
+        for var in _WORKER_BLAS_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        backend = ProcessPoolBackend(max_workers=1)
+        try:
+            pool = backend._ensure_pool()
+            assert pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result() == "1"
+        finally:
+            backend.close()
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
     def test_pinning_knob_controls_initializer(self):
         assert ProcessPoolBackend(max_workers=1).pin_blas_threads is True
         assert ProcessPoolBackend(max_workers=1,
@@ -384,79 +529,3 @@ class TestProcessBackendSatellites:
         # fell back in-process (same tracker): either way the custom
         # exponent prices every determinant
         assert shipped.work == pytest.approx(reference.work)
-
-
-# ---------------------------------------------------------------------- #
-# the per-byte shipping coefficient (payload-publication pricing)
-# ---------------------------------------------------------------------- #
-class TestShippingCoefficient:
-    def test_shipping_seconds_prices_bytes_linearly(self):
-        model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_shipped_byte=1e-6))
-        assert model.shipping_seconds(1000) == pytest.approx(1e-3)
-        assert model.shipping_seconds(0) == 0.0
-        assert model.shipping_seconds(-5) == 0.0
-
-    def test_calibration_measures_a_positive_coefficient(self):
-        coefficients = calibrate_wall_clock()
-        assert coefficients.seconds_per_shipped_byte > 0.0
-        # sanity decade: publication cannot plausibly be slower than 1 ms/KB
-        assert coefficients.seconds_per_shipped_byte < 1e-6
-
-    def test_first_shipment_penalty_keeps_wide_rounds_in_process(self, partition_dpp):
-        class _ShippingProcess(_FakeProcess):
-            """Process-shaped backend reporting a huge unpublished payload."""
-
-            def shipping_bytes(self, batch):
-                return 1 << 30
-
-        shipping_model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_flop_unit=1e-9, seconds_per_python_unit=1e-6,
-            seconds_per_shipped_byte=1e-6))
-        subsets = [(i % partition_dpp.n,) for i in range(400)]
-        batch = OracleBatch.counting(partition_dpp, subsets)
-        # without the penalty this batch routes to process (see
-        # test_large_python_bound_round_goes_to_process)...
-        assert _make_planner().choose(batch).name == "process"
-        # ...with a 1 GiB unpublished payload priced at 1 µs/byte it cannot
-        planner = _make_planner(backends={
-            "vectorized": VectorizedBackend(),
-            "threads": _FakeThreads(),
-            "process": _ShippingProcess(),
-        })
-        planner._calibrated = shipping_model
-        assert planner.choose(batch).name != "process"
-        estimates = planner.last_decision.estimates
-        assert estimates["process"] > 1000.0  # the publication term dominates
-
-    def test_already_published_payloads_are_free(self, partition_dpp):
-        # the stub inherits shipping_bytes() == 0, so with an explicit zero
-        # payload the penalty vanishes and the process route wins again
-        planner = _make_planner()
-        subsets = [(i % partition_dpp.n,) for i in range(400)]
-        batch = OracleBatch.counting(partition_dpp, subsets)
-        assert planner.choose(batch).name == "process"
-        assert planner.last_decision.estimates["process"] < \
-            planner.last_decision.estimates["vectorized"]
-
-    def test_process_backend_estimates_unpublished_bytes(self, small_kdpp):
-        backend = ProcessPoolBackend(max_workers=1)
-        matrix = np.eye(20)
-        batch = OracleBatch.log_principal_minors(matrix, [(0,), (1,)])
-        assert backend.shipping_bytes(batch) == matrix.nbytes
-        backend._mark_shipped(batch)
-        assert backend.shipping_bytes(batch) == 0  # same object: already shipped
-        other = OracleBatch.log_principal_minors(np.eye(20), [(0,)])
-        assert backend.shipping_bytes(other) == other.matrix.nbytes  # new object
-
-    def test_distribution_payload_bytes_track_warm_artifacts(self):
-        kdpp = SymmetricKDPP(random_psd_ensemble(12, seed=0), 4, validate=False)
-        backend = ProcessPoolBackend(max_workers=1)
-        batch = OracleBatch.counting(kdpp, [(0,)])
-        cold_bytes = backend.shipping_bytes(batch)
-        assert cold_bytes >= kdpp.L.nbytes
-        kdpp.factor_gram  # warming enlarges the payload...
-        warm_bytes = backend.shipping_bytes(batch)
-        assert warm_bytes > cold_bytes
-        backend._mark_shipped(batch)  # ...until it has shipped once
-        assert backend.shipping_bytes(batch) == 0

@@ -10,13 +10,17 @@ break-even policy must flip long chains back to full refactorization, and
 the cluster must ship O(n·k) deltas over a verified fingerprint chain.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro
 from repro import obs
 from repro.cluster import LocalCluster, serve_cluster
+from repro.engine.planner import should_refactorize
 from repro.linalg.updates import KernelUpdate
+from repro.pram.cost import CostModel, OracleCostHint
 from repro.service.registry import KernelRegistry
 from repro.service.session import SamplerSession
 from repro.workloads import random_npsd_ensemble, random_psd_ensemble
@@ -229,6 +233,16 @@ class TestCacheDecisions:
             decisions.append(entry.update_log[-1].decision)
         assert decisions[:3] == ["patched"] * 3
         assert decisions[3] == "recomputed"
+        # dense n=200: the n^3/n^2 ratio passes the cap, so the chain patches
+        # to depth 63 and recomputes at 64 (cluster warm-ups rely on this);
+        # factor-backed kernels patch exactly and run straight to the cap
+        dense = OracleCostHint(matrix_order=200)
+        factor = OracleCostHint(matrix_order=100_000, rank=8)
+        for hint in (dense, factor):
+            assert CostModel().update_break_even_depth(hint) == 64
+            assert not should_refactorize(replace(hint, update_depth=63))
+            assert should_refactorize(replace(hint, update_depth=64))
+        assert CostModel().update_break_even_depth(factor, cap=16) == 16
 
     def test_refactor_flag_forces_either_path(self, psd):
         session = _cold(psd)
