@@ -7,9 +7,9 @@ For an ensemble matrix ``L`` with eigenvalues ``λ``:
 * the k-DPP's marginals admit the spectral formula
   ``P[i ∈ S] = Σ_j (v_{ji}^2 λ_j e_{k-1}(λ_{-j})) / e_k(λ)``.
 
-The ``e_{k-1}(λ_{-j})`` terms are computed with a leave-one-out dynamic program
-that recomputes the ESP table with one eigenvalue removed (numerically safer
-than the division recurrence when eigenvalues repeat or vanish).
+The ``e_{k-1}(λ_{-j})`` terms come from prefix and suffix ESP tables, combined
+without division (numerically safer than the division recurrence when
+eigenvalues repeat or vanish).
 """
 
 from __future__ import annotations
@@ -55,22 +55,31 @@ def kdpp_normalization(L: np.ndarray, k: int) -> float:
 
 
 def leave_one_out_esp(values: np.ndarray, order: int) -> np.ndarray:
-    """``e_order(values with entry j removed)`` for every ``j`` (vector of length n)."""
+    """``e_order(values with entry j removed)`` for every ``j`` (vector of length n).
+
+    With prefix ESPs ``pre_j[a] = e_a(values[:j])`` and suffix ESPs
+    ``suf_j[b] = e_b(values[j:])``, ``loo_j = Σ_a pre_j[a] · suf_{j+1}[order - a]``:
+    ``O(n · order)`` with no division.  Each table is built one order at a
+    time, ``pre_{j+1}[a] = pre_j[a] + x_j · pre_j[a - 1]``, as cumulative sums
+    over ``j``.
+    """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
     if order < 0 or order > n - 1:
         return np.zeros(n)
-    out = np.empty(n, dtype=float)
-    for j in range(n):
-        rest = np.delete(vals, j)
-        out[j] = elementary_symmetric_polynomials(rest, max_order=order)[order]
-    return out
+    prefix = np.zeros((n + 1, order + 1))
+    suffix = np.zeros((n + 1, order + 1))
+    prefix[:, 0] = suffix[:, 0] = 1.0
+    for a in range(1, order + 1):
+        prefix[1:, a] = np.cumsum(vals * prefix[:-1, a - 1])
+        suffix[:-1, a] = np.cumsum((vals * suffix[1:, a - 1])[::-1])[::-1]
+    return np.einsum("ja,ja->j", prefix[:-1], suffix[1:, ::-1])
 
 
 def kdpp_marginals_spectral(L: np.ndarray, k: int) -> np.ndarray:
     """All marginals ``P[i ∈ S]`` of the k-DPP with symmetric PSD ensemble ``L``.
 
-    One eigendecomposition plus an ``O(n^2 k)`` post-processing; charged as a
+    One eigendecomposition plus an ``O(n k)`` post-processing; charged as a
     single batched-oracle round.
     """
     a = check_square(L, "L")

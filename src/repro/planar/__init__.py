@@ -4,7 +4,8 @@
   ladders, Delaunay triangulations).
 * :mod:`repro.planar.kasteleyn` — the FKT / Kasteleyn Pfaffian-orientation
   counting oracle: the number of perfect matchings of a planar graph as a
-  determinant [Kas67], computable in ``NC`` [Csa75].
+  determinant [Kas67], computable in ``NC`` [Csa75]; :class:`KasteleynMatrix`
+  orients a sample's root graph once and counts every subgraph by slicing.
 * :mod:`repro.planar.separator` — planar separators of size ``O(√n)`` whose
   removal leaves balanced components.
 * :mod:`repro.planar.matching` — sequential conditional matching sampler
@@ -22,6 +23,7 @@ from repro.planar.graphs import (
     delaunay_graph,
 )
 from repro.planar.kasteleyn import (
+    KasteleynMatrix,
     pfaffian_orientation,
     count_perfect_matchings,
     log_count_perfect_matchings,
@@ -37,6 +39,7 @@ __all__ = [
     "ladder_graph",
     "cycle_graph",
     "delaunay_graph",
+    "KasteleynMatrix",
     "pfaffian_orientation",
     "count_perfect_matchings",
     "log_count_perfect_matchings",

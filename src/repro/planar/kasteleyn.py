@@ -17,6 +17,8 @@ The orientation is constructed with the standard FKT procedure:
    edge so the face has an odd number of edges agreeing with its traversal
    direction.
 
+:class:`KasteleynMatrix` orients a graph once and answers every count on an
+induced subgraph by slicing the resulting matrix (see its restriction lemma).
 Counts are returned in log-space (grids beyond ~10x10 have astronomically many
 matchings); :func:`count_perfect_matchings` exponentiates and rounds when the
 count fits a float.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -146,32 +148,93 @@ def pfaffian_orientation(graph: PlanarGraph) -> Dict[FrozenSet, Edge]:
     return orientation
 
 
-def _log_count_connected(graph: PlanarGraph) -> float:
-    """Log of the number of perfect matchings of a connected planar graph."""
-    n = graph.n
-    if n == 0:
-        return 0.0
-    if n % 2 == 1:
-        return -math.inf
-    if graph.m == 0:
-        return -math.inf
-    orientation = pfaffian_orientation(graph)
-    index = graph.adjacency_index()
-    A = np.zeros((n, n))
-    for edge_key, (u, v) in orientation.items():
-        i, j = index[u], index[v]
-        A[i, j] = 1.0
-        A[j, i] = -1.0
-    current_tracker().charge_determinant(n)
-    sign, logdet = np.linalg.slogdet(A)
-    if sign <= 0 and not math.isfinite(logdet):
-        return -math.inf
-    if logdet == -math.inf:
-        return -math.inf
-    # det(A) = Pf(A)^2 >= 0; numerical noise can flip the sign for singular A
-    if sign < 0 and logdet > -20:
-        raise RuntimeError("skew-symmetric determinant came out negative; orientation bug?")
-    return 0.5 * logdet
+class KasteleynMatrix:
+    """Signed Kasteleyn matrix of a planar graph, built once and sliced per query.
+
+    The constructor runs one FKT orientation per connected component of
+    ``graph`` and stores the result as one dense skew-symmetric matrix plus a
+    vertex → index map (and the root's adjacency lists, which split a query
+    into components).  :meth:`log_count` then counts the perfect matchings
+    of an induced subgraph ``G[W]`` from the principal block of that matrix on
+    ``W``: no graph copy, planarity test or re-orientation per query.
+
+    **Restriction lemma.**  If ``G[V \\ W]`` has a perfect matching, a
+    Pfaffian orientation of ``G`` restricted to ``G[W]`` is Pfaffian.  An
+    orientation is Pfaffian iff every *nice* cycle (an even cycle ``C`` whose
+    removal leaves a graph with a perfect matching) is oddly oriented.  If
+    ``C`` is nice in ``G[W]``, a perfect matching of ``G[W] - C`` together with
+    one of ``G[V \\ W]`` is a perfect matching of ``G - C``, so ``C`` is nice
+    in ``G`` and therefore oddly oriented.  Hence ``|Pf|`` of the block on
+    ``W`` is the matching count of ``G[W]``.
+
+    Every set the samplers count satisfies the hypothesis.  They query a
+    component of the current graph minus a candidate pair ``{v, u}``; the
+    vertices removed so far are covered by the pairs matched so far, by the
+    edge ``uv`` and by perfect matchings of the other components (the current
+    graph always has one).  The feasibility check (``W = V``) and
+    :func:`matching_edge_marginal` (``V \\ W`` is an edge) satisfy it too.  Other
+    sets can come out wrong: a cycle around a single deleted vertex is not nice
+    in ``G``, so its restricted orientation may be even.
+    """
+
+    def __init__(self, graph: PlanarGraph):
+        self._index = graph.adjacency_index()
+        n = len(self._index)
+        self._matrix = np.zeros((n, n))
+        self._adjacency: List[List[int]] = [[] for _ in range(n)]
+        for component in graph.connected_components():
+            for u, v in pfaffian_orientation(component).values():
+                i, j = self._index[u], self._index[v]
+                self._matrix[i, j] = 1.0
+                self._matrix[j, i] = -1.0
+                self._adjacency[i].append(j)
+                self._adjacency[j].append(i)
+
+    def log_count(self, vertices: Iterable) -> float:
+        """``log(#perfect matchings)`` of ``G[vertices]`` (``-inf`` if none exist).
+
+        ``vertices`` must satisfy the restriction lemma's hypothesis.  The
+        induced subgraph factors over its connected components, taken in order
+        of first appearance in ``vertices``; each even component is charged
+        one determinant, and the first component without a matching ends the
+        count.  The lemma holds for the whole of ``G[vertices]``, so when the
+        count is positive every block is exact, and when it is zero some block
+        has no matching and the result is ``-inf`` whichever block ends it.
+        """
+        tracker = current_tracker()
+        total = 0.0
+        for members in self._components([self._index[v] for v in vertices]):
+            if len(members) % 2 == 1:
+                return -math.inf
+            tracker.charge_determinant(len(members))
+            sign, logdet = np.linalg.slogdet(self._matrix[np.ix_(members, members)])
+            if logdet == -math.inf:
+                return -math.inf
+            # det(A) = Pf(A)^2 >= 0; numerical noise can flip the sign for singular A
+            if sign < 0 and logdet > -20:
+                raise RuntimeError("skew-symmetric determinant came out negative; orientation bug?")
+            total += 0.5 * logdet
+        return total
+
+    def _components(self, indices: List[int]) -> Iterator[List[int]]:
+        """Components of the subgraph induced on ``indices``, in order of first appearance.
+
+        Each comes out sorted, so its block keeps the root's index order; later
+        components are only searched if the caller asks for them.
+        """
+        unseen = set(indices)
+        for start in indices:
+            if start not in unseen:
+                continue
+            unseen.remove(start)
+            component, stack = [start], [start]
+            while stack:
+                for j in self._adjacency[stack.pop()]:
+                    if j in unseen:
+                        unseen.remove(j)
+                        component.append(j)
+                        stack.append(j)
+            yield sorted(component)
 
 
 def log_count_perfect_matchings(graph: PlanarGraph) -> float:
@@ -179,13 +242,7 @@ def log_count_perfect_matchings(graph: PlanarGraph) -> float:
 
     Disconnected graphs factor over their components.
     """
-    total = 0.0
-    for component in graph.connected_components():
-        value = _log_count_connected(component)
-        if value == -math.inf:
-            return -math.inf
-        total += value
-    return total
+    return KasteleynMatrix(graph).log_count(graph.vertices())
 
 
 def count_perfect_matchings(graph: PlanarGraph) -> float:
@@ -206,11 +263,12 @@ def matching_edge_marginal(graph: PlanarGraph, u, v) -> float:
     """
     if not graph.graph.has_edge(u, v):
         return 0.0
-    log_total = log_count_perfect_matchings(graph)
+    kasteleyn = KasteleynMatrix(graph)
+    vertices = graph.vertices()
+    log_total = kasteleyn.log_count(vertices)
     if log_total == -math.inf:
         raise ValueError("graph has no perfect matching")
-    reduced = graph.remove_vertices([u, v])
-    log_reduced = log_count_perfect_matchings(reduced)
+    log_reduced = kasteleyn.log_count([w for w in vertices if w != u and w != v])
     if log_reduced == -math.inf:
         return 0.0
     return float(math.exp(log_reduced - log_total))

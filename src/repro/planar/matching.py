@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.result import SampleResult, SamplerReport
 from repro.planar.graphs import PlanarGraph
-from repro.planar.kasteleyn import log_count_perfect_matchings
+from repro.planar.kasteleyn import KasteleynMatrix
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.rng import SeedLike, as_generator
 
@@ -52,9 +52,13 @@ def enumerate_perfect_matchings(graph: PlanarGraph) -> List[Matching]:
     return results
 
 
-def _match_vertex(graph: PlanarGraph, vertex, log_total: float, rng: np.random.Generator,
-                  tracker: Tracker) -> Tuple[object, float]:
+def _match_vertex(graph: PlanarGraph, vertex, kasteleyn: KasteleynMatrix,
+                  rng: np.random.Generator, tracker: Tracker) -> Tuple[object, float]:
     """One sequential step: sample the partner of ``vertex`` from its conditional law.
+
+    ``graph`` is an induced subgraph of the graph ``kasteleyn`` was built from,
+    reached by deleting matched pairs and splitting off components, so every
+    count ``#PM(graph - {vertex, u})`` is a slice of that one matrix.
 
     Returns ``(partner, log_count_of_reduced_graph)``.  The counting-oracle
     queries for all incident edges form one batched adaptive round.
@@ -63,11 +67,11 @@ def _match_vertex(graph: PlanarGraph, vertex, log_total: float, rng: np.random.G
     if not neighbors:
         raise ValueError(f"vertex {vertex!r} has no neighbors but a perfect matching was requested")
     log_counts = np.full(len(neighbors), -math.inf)
+    others = [w for w in graph.vertices() if w != vertex]
     with tracker.round("match-vertex"):
         tracker.charge(machines=float(len(neighbors)))
         for idx, u in enumerate(neighbors):
-            reduced = graph.remove_vertices([vertex, u])
-            log_counts[idx] = log_count_perfect_matchings(reduced)
+            log_counts[idx] = kasteleyn.log_count([w for w in others if w != u])
     if np.all(np.isneginf(log_counts)):
         raise RuntimeError("no extension to a perfect matching exists; inconsistent conditioning")
     shift = np.max(log_counts[np.isfinite(log_counts)])
@@ -92,13 +96,13 @@ def sample_planar_matching_sequential(graph: PlanarGraph, seed: SeedLike = None,
 
     matching: List[FrozenSet] = []
     with use_tracker(trk):
-        log_total = log_count_perfect_matchings(graph)
-        if log_total == -math.inf:
+        kasteleyn = KasteleynMatrix(graph)
+        if kasteleyn.log_count(graph.vertices()) == -math.inf:
             raise ValueError("graph has no perfect matching")
         current = graph
         while current.n > 0:
             vertex = sorted(current.vertices(), key=repr)[0]
-            partner, _ = _match_vertex(current, vertex, log_total, rng, trk)
+            partner, _ = _match_vertex(current, vertex, kasteleyn, rng, trk)
             matching.append(frozenset((vertex, partner)))
             current = current.remove_vertices([vertex, partner])
             report.batch_sizes.append(1)

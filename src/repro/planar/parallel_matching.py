@@ -23,16 +23,19 @@ import numpy as np
 
 from repro.core.result import SampleResult, SamplerReport
 from repro.planar.graphs import PlanarGraph
-from repro.planar.kasteleyn import log_count_perfect_matchings
+from repro.planar.kasteleyn import KasteleynMatrix
 from repro.planar.matching import _canonical_matching, _match_vertex
 from repro.planar.separator import bfs_level_separator
 from repro.pram.tracker import Tracker, current_tracker, use_tracker
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
 
-def _sample_recursive(graph: PlanarGraph, rng: np.random.Generator, report: SamplerReport,
-                      *, base_size: int) -> List[FrozenSet]:
-    """Recursive separator sampler; runs inside the current tracker context."""
+def _sample_recursive(graph: PlanarGraph, kasteleyn: KasteleynMatrix, rng: np.random.Generator,
+                      report: SamplerReport, *, base_size: int) -> List[FrozenSet]:
+    """Recursive separator sampler; runs inside the current tracker context.
+
+    ``kasteleyn`` is the root graph's matrix: every level counts by slicing it.
+    """
     tracker = current_tracker()
     matching: List[FrozenSet] = []
     current = graph
@@ -44,19 +47,20 @@ def _sample_recursive(graph: PlanarGraph, rng: np.random.Generator, report: Samp
         # Small base case: match every vertex sequentially (O(base_size) rounds).
         while current.n > 0:
             vertex = sorted(current.vertices(), key=repr)[0]
-            partner, _ = _match_vertex(current, vertex, 0.0, rng, tracker)
+            partner, _ = _match_vertex(current, vertex, kasteleyn, rng, tracker)
             matching.append(frozenset((vertex, partner)))
             current = current.remove_vertices([vertex, partner])
         return matching
 
-    separator, _ = bfs_level_separator(current)
+    # A disconnected input has nothing to separate: go straight to step 3.
+    separator = bfs_level_separator(current)[0] if current.is_connected() else []
     report.extra["max_separator"] = max(report.extra.get("max_separator", 0.0), float(len(separator)))
 
     # Step 2: match separator vertices sequentially, conditioning as we go.
     for vertex in sorted(separator, key=repr):
         if not current.has_vertex(vertex):
             continue  # already matched as a partner of an earlier separator vertex
-        partner, _ = _match_vertex(current, vertex, 0.0, rng, tracker)
+        partner, _ = _match_vertex(current, vertex, kasteleyn, rng, tracker)
         matching.append(frozenset((vertex, partner)))
         current = current.remove_vertices([vertex, partner])
 
@@ -71,7 +75,8 @@ def _sample_recursive(graph: PlanarGraph, rng: np.random.Generator, report: Samp
         child = tracker.spawn()
         child_trackers.append(child)
         with use_tracker(child):
-            matching.extend(_sample_recursive(component, child_rng, report, base_size=base_size))
+            matching.extend(_sample_recursive(component, kasteleyn, child_rng, report,
+                                              base_size=base_size))
     tracker.merge_parallel(child_trackers)
     return matching
 
@@ -96,9 +101,10 @@ def sample_planar_matching_parallel(graph: PlanarGraph, seed: SeedLike = None, *
         raise ValueError("graphs with an odd number of vertices have no perfect matching")
 
     with use_tracker(trk):
-        if log_count_perfect_matchings(graph) == -math.inf:
+        kasteleyn = KasteleynMatrix(graph)
+        if kasteleyn.log_count(graph.vertices()) == -math.inf:
             raise ValueError("graph has no perfect matching")
-        edges = _sample_recursive(graph, rng, report, base_size=base_size)
+        edges = _sample_recursive(graph, kasteleyn, rng, report, base_size=base_size)
 
     report.update_from_tracker(trk)
     return SampleResult(subset=_canonical_matching([tuple(e) for e in edges]), report=report)

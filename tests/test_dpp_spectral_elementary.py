@@ -50,6 +50,21 @@ class TestElementary:
             expected = elementary_symmetric_polynomials(rest)[2]
             assert loo[j] == pytest.approx(expected)
 
+    def test_leave_one_out_esp_every_order(self):
+        # zeros and repeated values are where a division recurrence breaks down
+        values = np.concatenate([np.random.default_rng(0).random(37) * 5.0, [0.0, 0.0, 2.5, 2.5]])
+        for order in range(values.size):
+            loo = leave_one_out_esp(values, order)
+            expected = [elementary_symmetric_polynomials(np.delete(values, j), max_order=order)[order]
+                        for j in range(values.size)]
+            assert np.allclose(loo, expected, rtol=1e-12, atol=0.0)
+
+    def test_leave_one_out_esp_out_of_range(self):
+        values = np.array([1.0, 2.0, 3.0])
+        for order in (-1, 3, 4):
+            assert np.array_equal(leave_one_out_esp(values, order), np.zeros(3))
+        assert np.array_equal(leave_one_out_esp(np.array([]), 0), np.zeros(0))
+
     def test_kdpp_marginals_spectral_match_exact(self, small_psd):
         for k in (1, 2, 3, 4):
             marginals = kdpp_marginals_spectral(small_psd, k)

@@ -6,14 +6,17 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.planar.graphs import PlanarGraph, cycle_graph, grid_graph, ladder_graph
+import repro.planar.kasteleyn as kasteleyn_module
+from repro.planar.graphs import PlanarGraph, cycle_graph, delaunay_graph, grid_graph, ladder_graph
 from repro.planar.kasteleyn import (
+    KasteleynMatrix,
     count_perfect_matchings,
     log_count_perfect_matchings,
     matching_edge_marginal,
     pfaffian_orientation,
 )
-from repro.planar.matching import enumerate_perfect_matchings
+from repro.planar.matching import enumerate_perfect_matchings, sample_planar_matching_sequential
+from repro.planar.parallel_matching import sample_planar_matching_parallel
 
 
 def brute_force_count(graph: PlanarGraph) -> int:
@@ -162,3 +165,80 @@ class TestLogCountsAndMarginals:
     def test_edge_marginal_no_matching_raises(self):
         with pytest.raises(ValueError):
             matching_edge_marginal(grid_graph(3, 3), (0, 0), (0, 1))
+
+
+def _disconnected_graph() -> PlanarGraph:
+    graph = nx.Graph()
+    graph.add_edges_from([(0, 1), (1, 2), (2, 3), (3, 0)])  # C4
+    graph.add_edges_from(nx.relabel_nodes(nx.ladder_graph(3), lambda v: 10 + v).edges())
+    graph.add_edge(20, 21)
+    return PlanarGraph(graph)
+
+
+def _assert_same_log(actual: float, expected: float) -> None:
+    if expected == -math.inf:
+        assert actual == -math.inf
+    else:
+        assert actual == pytest.approx(expected, abs=1e-9)
+
+
+class TestRestrictionLemma:
+    """Slices of the root's Kasteleyn matrix count every set the samplers query."""
+
+    @pytest.mark.parametrize("graph", [
+        grid_graph(6, 6),
+        ladder_graph(7),
+        delaunay_graph(20, seed=0),
+        _disconnected_graph(),
+    ], ids=["grid6x6", "ladder7", "delaunay20", "disconnected"])
+    def test_sliced_counts_match_fresh_orientations(self, graph):
+        assert log_count_perfect_matchings(graph) > -math.inf
+        root = KasteleynMatrix(graph)
+        brute = graph.n <= 16
+
+        def check(vertices):
+            value = root.log_count(vertices)
+            sub = graph.subgraph(vertices)
+            _assert_same_log(value, log_count_perfect_matchings(sub))
+            if brute:
+                count = brute_force_count(sub)
+                _assert_same_log(value, math.log(count) if count else -math.inf)
+            return value
+
+        rng = np.random.default_rng(0)
+        pieces = [sorted(c, key=repr) for c in nx.connected_components(graph.graph)]
+        steps = 0
+        while pieces:
+            piece = pieces.pop(int(rng.integers(len(pieces))))
+            check(piece)
+            vertex = piece[0]
+            rest = [w for w in piece if w != vertex]
+            feasible = [u for u in graph.neighbors(vertex) if u in rest
+                        and check([w for w in rest if w != u]) > -math.inf]
+            assert feasible, "a matchable piece has a matchable edge at every vertex"
+            partner = feasible[int(rng.integers(len(feasible)))]
+            remaining = graph.subgraph([w for w in rest if w != partner])
+            pieces.extend(sorted(c, key=repr) for c in nx.connected_components(remaining.graph))
+            steps += 1
+        assert steps == graph.n // 2
+
+    @pytest.mark.parametrize("sampler", [sample_planar_matching_parallel,
+                                         sample_planar_matching_sequential])
+    def test_one_orientation_per_root_component(self, sampler, monkeypatch):
+        calls = []
+        original = kasteleyn_module.pfaffian_orientation
+
+        def counting(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(kasteleyn_module, "pfaffian_orientation", counting)
+        graph = _disconnected_graph()
+        sampler(graph, seed=0)
+        assert sorted(calls) == [2, 4, 6]
+        calls.clear()
+        sampler(grid_graph(6, 6), seed=1)
+        assert calls == [36]
+
+    def test_empty_vertex_set(self):
+        assert KasteleynMatrix(grid_graph(2, 2)).log_count([]) == 0.0
