@@ -24,10 +24,12 @@ batched density-ratio queries of the rejection step) as one
 :class:`~repro.engine.backends.ExecutionBackend` — serial reference loop,
 stacked-NumPy vectorization, or thread-pool fan-out — selected via
 :func:`repro.configure_backend` or a per-call ``backend=...`` argument.
-Backends change wall-clock execution only: the PRAM tracker still charges one
-adaptive round per batch, and every backend answers the same queries with
-numerics agreeing to machine precision, so fixed-seed runs return identical
-samples across backends (asserted by the backend-equivalence tests).
+Backends change wall-clock execution only: each batch is charged once, at the
+batch boundary (:meth:`~repro.engine.batch.OracleBatch.charge`), so the PRAM
+report is the same on every backend, and every backend answers the same
+queries with numerics agreeing to machine precision, so fixed-seed runs return
+identical samples across backends (asserted by the backend-equivalence and
+PRAM-invariance tests).
 """
 
 from repro.core.result import SampleResult, SamplerReport

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.result import SampleResult, SamplerReport
 from repro.distributions.base import SubsetDistribution
+from repro.engine import OracleBatch, resolve_backend
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.rng import SeedLike, as_generator
 
@@ -38,10 +39,14 @@ def sequential_sample(distribution: SubsetDistribution, seed: SeedLike = None, *
     chosen = []
     current = distribution
     report = SamplerReport()
+    engine = resolve_backend(None)
     with use_tracker(trk):
         for _ in range(k):
             # One adaptive round: compute conditional marginals, pick one element.
-            marginals = current.marginal_vector()
+            marginals = engine.execute(
+                OracleBatch.marginal_vector(current, label="sequential-marginals"),
+                tracker=trk,
+            ).values
             weights = np.clip(marginals, 0.0, None)
             total = weights.sum()
             if total <= 0:

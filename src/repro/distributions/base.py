@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pram.cost import OracleCostHint
-from repro.pram.tracker import current_tracker
 from repro.utils.subsets import Subset, all_subsets_of_size, subset_key
 from repro.utils.validation import check_subset
 
@@ -247,10 +246,7 @@ class SubsetDistribution(abc.ABC):
         outside = [i for i in range(self.n) if i not in base_set]
         queries = [tuple(sorted(base + (i,))) for i in outside]
         values = np.full(self.n, denom, dtype=float)
-        tracker = current_tracker()
-        with tracker.round("marginal_vector"):
-            tracker.charge(machines=float(self.n))
-            values[outside] = self.counting_batch(queries)
+        values[outside] = self.counting_batch(queries)
         # one vectorized validation pass over the whole round's answers
         tolerance = 1e-12 * max(float(np.abs(values).max(initial=0.0)), denom, 1.0)
         invalid = np.flatnonzero(values < -tolerance)

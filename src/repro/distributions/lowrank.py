@@ -393,7 +393,6 @@ class LowRankDPP(_LowRankOracleMixin, SubsetDistribution):
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """``det(L_T) · det(I_k + C_T)`` for many (mixed-size) ``T`` at once."""
         values = np.zeros(len(subsets), dtype=float)
-        tracker = current_tracker()
         for t, positions in group_by_size(subsets).items():
             group = [subsets[p] for p in positions]
             if t == 0:
@@ -402,7 +401,6 @@ class LowRankDPP(_LowRankOracleMixin, SubsetDistribution):
             if t > self.rank:
                 continue
             det_T, reduced = lowrank_conditioned_gram(self.factor, self.gram, group)
-            tracker.charge_determinant(self.rank, count=len(group))
             tails = np.linalg.det(np.eye(self.rank)[None] + reduced)
             values[positions] = np.where(det_T > 0, det_T * np.clip(tails, 0.0, None), 0.0)
         return values
@@ -410,14 +408,12 @@ class LowRankDPP(_LowRankOracleMixin, SubsetDistribution):
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
         """All marginals in ``O(n k)``: ``K_ii = Σ_j (B v_j)_i² / (1 + λ_j)``."""
         items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("lowrank-dpp-marginals"):
-            if not items:
-                return self._root_marginals()
-            conditioned = self.condition(items)
-            marginals = np.ones(self.n, dtype=float)
-            remaining = [i for i in range(self.n) if i not in items]
-            marginals[remaining] = conditioned._root_marginals()
+        if not items:
+            return self._root_marginals()
+        conditioned = self.condition(items)
+        marginals = np.ones(self.n, dtype=float)
+        remaining = [i for i in range(self.n) if i not in items]
+        marginals[remaining] = conditioned._root_marginals()
         return marginals
 
     def _root_marginals(self) -> np.ndarray:
@@ -493,7 +489,6 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
 
     def partition_function(self) -> float:
         """``e_k(λ(L)) = e_k(λ(BᵀB))`` — ESPs over the dual spectrum."""
-        current_tracker().charge_determinant(self.rank)
         esp = elementary_symmetric_polynomials(self.dual_eigenvalues, max_order=self.k)
         return float(esp[self.k])
 
@@ -508,7 +503,6 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """``det(L_T) · e_{k-|T|}(λ(L^T))`` for many (mixed-size) ``T`` at once."""
         values = np.zeros(len(subsets), dtype=float)
-        tracker = current_tracker()
         for t, positions in group_by_size(subsets).items():
             group = [subsets[p] for p in positions]
             if t > self.k or t > self.rank:
@@ -517,14 +511,12 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
                 values[positions] = self.partition_function()
                 continue
             if t == self.k:
-                tracker.charge_determinant(t, count=len(group))
                 idx = np.asarray([sorted(int(i) for i in s) for s in group], dtype=int)
                 blocks = self.factor[idx]                     # (batch, t, k)
                 dets = np.linalg.det(blocks @ blocks.transpose(0, 2, 1))
                 values[positions] = np.where(dets > 0, dets, 0.0)
                 continue
             det_T, reduced = lowrank_conditioned_gram(self.factor, self.gram, group)
-            tracker.charge_determinant(self.rank, count=len(group))
             spectra = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
             esp = batched_esp(spectra, self.k - t)
             values[positions] = np.where(det_T > 0, det_T * esp[:, self.k - t], 0.0)
@@ -534,40 +526,34 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
         z = self.partition_function()
         if z <= 0:
             raise ValueError("distribution has zero total mass")
-        tracker = current_tracker()
-        with tracker.round("lowrank-kdpp-joint-marginals"):
-            tracker.charge(machines=float(len(subsets)))
-            values = self.counting_batch(subsets) / z
-        return np.clip(values, 0.0, None)
+        return np.clip(self.counting_batch(subsets) / z, 0.0, None)
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
         """Spectral k-DPP marginals in factor space (``O(n k + k²·k)``)."""
         from repro.dpp.elementary import leave_one_out_esp
 
         items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("lowrank-kdpp-marginals"):
-            if items:
-                conditioned = self.condition(items)
-                marginals = np.ones(self.n, dtype=float)
-                remaining = [i for i in range(self.n) if i not in items]
-                marginals[remaining] = (conditioned.marginal_vector(())
-                                        if conditioned.k > 0
-                                        else np.zeros(len(remaining)))
-                return marginals
-            eigenvalues = self.dual_eigenvalues
-            ek = elementary_symmetric_polynomials(eigenvalues, max_order=self.k)[self.k]
-            if ek <= 0:
-                raise ValueError(
-                    f"k-DPP with k={self.k} has zero partition function (rank deficient)")
-            loo = leave_one_out_esp(eigenvalues, self.k - 1)
-            weights = eigenvalues * loo / ek   # P[eigenvector j selected]
-            # eigenvector matrix of L: U = B V Λ^{-1/2}; marginal_i = Σ_j w_j U_ij²
-            positive = eigenvalues > 0
-            W = self.factor @ self.dual_vectors[:, positive]
-            scale = np.zeros(int(positive.sum()))
-            np.divide(weights[positive], eigenvalues[positive], out=scale)
-            marginals = (W * W) @ scale
+        if items:
+            conditioned = self.condition(items)
+            marginals = np.ones(self.n, dtype=float)
+            remaining = [i for i in range(self.n) if i not in items]
+            marginals[remaining] = (conditioned.marginal_vector(())
+                                    if conditioned.k > 0
+                                    else np.zeros(len(remaining)))
+            return marginals
+        eigenvalues = self.dual_eigenvalues
+        ek = elementary_symmetric_polynomials(eigenvalues, max_order=self.k)[self.k]
+        if ek <= 0:
+            raise ValueError(
+                f"k-DPP with k={self.k} has zero partition function (rank deficient)")
+        loo = leave_one_out_esp(eigenvalues, self.k - 1)
+        weights = eigenvalues * loo / ek   # P[eigenvector j selected]
+        # eigenvector matrix of L: U = B V Λ^{-1/2}; marginal_i = Σ_j w_j U_ij²
+        positive = eigenvalues > 0
+        W = self.factor @ self.dual_vectors[:, positive]
+        scale = np.zeros(int(positive.sum()))
+        np.divide(weights[positive], eigenvalues[positive], out=scale)
+        marginals = (W * W) @ scale
         return np.clip(marginals, 0.0, 1.0)
 
     # ------------------------------------------------------------------ #

@@ -104,16 +104,15 @@ def lowrank_intermediate_basis(factor: np.ndarray, *,
     ``n x k`` matmul and draws identical samples downstream.
 
     This is the cacheable preprocessing of the intermediate sampler:
-    ``O(n·k² + k³)`` once, ``O(n·k)`` memory.
+    ``O(n·k² + k³)`` once, ``O(n·k)`` memory.  The samplers charge it
+    (:func:`_resolve_whitening`) whether it was computed or cached.
     """
     B = np.asarray(factor, dtype=float)
     if B.ndim != 2:
         raise ValueError(f"factor must be 2-D, got shape {B.shape}")
     n, k = B.shape
-    tracker = current_tracker()
     if dual is None:
         gram = B.T @ B
-        tracker.charge_determinant(k)
         eigenvalues, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
         eigenvalues = np.clip(eigenvalues, 0.0, None)
     else:
@@ -126,10 +125,25 @@ def lowrank_intermediate_basis(factor: np.ndarray, *,
     top = float(eigenvalues.max(initial=0.0))
     keep = eigenvalues > tol * max(top, 1.0) if top > 0 else np.zeros(k, dtype=bool)
     kept = eigenvalues[keep]
-    tracker.charge(work=float(n) * k * max(int(keep.sum()), 1))
     coords = (B @ vectors[:, keep]) / np.sqrt(kept)[None, :] if kept.size \
         else np.zeros((n, 0))
     return kept, coords
+
+
+def _resolve_whitening(factor: np.ndarray,
+                       whitened: Optional[WhitenedBasis]) -> WhitenedBasis:
+    """The whitened basis (cached or computed here), charged either way.
+
+    One Gram ``eigh`` of order ``k`` plus the ``n x k`` whitening matmul, so
+    a draw reports the same work whether a warm cache supplied the basis.
+    """
+    eigenvalues, coords = whitened if whitened is not None \
+        else lowrank_intermediate_basis(factor)
+    n, k = np.shape(factor)
+    tracker = current_tracker()
+    tracker.charge_determinant(k)
+    tracker.charge(work=float(n) * k * max(int(eigenvalues.size), 1))
+    return eigenvalues, coords
 
 
 def _default_oversample(rank: int) -> float:
@@ -274,8 +288,7 @@ def sample_dpp_intermediate(kernel, seed: SeedLike = None, *,
     wall-clock only, never the sample.
     """
     factor = getattr(kernel, "factor", kernel)
-    eigenvalues, coords = whitened if whitened is not None \
-        else lowrank_intermediate_basis(factor)
+    eigenvalues, coords = _resolve_whitening(factor, whitened)
     rng = as_generator(seed)
     mask = rng.random(eigenvalues.size) < eigenvalues / (1.0 + eigenvalues)
     return _sample_projection_intermediate(
@@ -296,8 +309,7 @@ def sample_kdpp_intermediate(kernel, k: int, seed: SeedLike = None, *,
     :func:`sample_dpp_intermediate`.
     """
     factor = getattr(kernel, "factor", kernel)
-    eigenvalues, coords = whitened if whitened is not None \
-        else lowrank_intermediate_basis(factor)
+    eigenvalues, coords = _resolve_whitening(factor, whitened)
     if k == 0:
         return ()
     if k > eigenvalues.size:

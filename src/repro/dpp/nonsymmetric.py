@@ -35,7 +35,6 @@ from repro.linalg.batch import (
 from repro.linalg.determinant import principal_minor
 from repro.linalg.schur import condition_ensemble
 from repro.pram.cost import OracleCostHint
-from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_positive_int, check_subset
 
 
@@ -116,7 +115,6 @@ class NonsymmetricDPP(SubsetDistribution):
     def partition_function(self) -> float:
         if self._z is not None:
             return self._z
-        current_tracker().charge_determinant(self.n)
         return float(np.linalg.det(np.eye(self.n) + self.L))
 
     def counting(self, given: Iterable[int] = ()) -> float:
@@ -134,14 +132,12 @@ class NonsymmetricDPP(SubsetDistribution):
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
         items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("ndpp-marginals"):
-            if not items:
-                return np.clip(np.diag(self.kernel).copy(), 0.0, 1.0)
-            conditioned = self.condition(items)
-            marginals = np.ones(self.n, dtype=float)
-            remaining = [i for i in range(self.n) if i not in items]
-            marginals[remaining] = np.clip(np.diag(conditioned.kernel), 0.0, 1.0)
+        if not items:
+            return np.clip(np.diag(self.kernel).copy(), 0.0, 1.0)
+        conditioned = self.condition(items)
+        marginals = np.ones(self.n, dtype=float)
+        remaining = [i for i in range(self.n) if i not in items]
+        marginals[remaining] = np.clip(np.diag(conditioned.kernel), 0.0, 1.0)
         return marginals
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -246,41 +242,37 @@ class NonsymmetricKDPP(HomogeneousDistribution):
         eigenvalue call plus a batched ESP (one adaptive round).
         """
         items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("nkdpp-marginals"):
-            target = self.condition(items) if items else self
-            kk = target.k
-            z = target.partition_function()
-            m = target.n
-            tracker.charge(machines=float(m))
-            tracker.charge_determinant(max(m - 1, 0), count=m)
-            if m <= 1 or kk > m - 1:
-                # dropping any row leaves fewer than k' elements -> excluded
-                # mass is zero and every marginal is 1 (or the set is trivial)
-                inner = np.ones(m, dtype=float) if kk > m - 1 else np.zeros(m, dtype=float)
-                if m == 1 and kk == 0:
-                    inner[:] = 0.0
-            else:
-                keep = np.array([[j for j in range(m) if j != i] for i in range(m)])
-                # chunk the stacked eigenvalue call: one (chunk, m-1, m-1)
-                # block at a time keeps memory at O(chunk * m^2) instead of
-                # materializing all n leave-one-out submatrices at once
-                chunk = max(1, min(m, int(2 ** 24 // max((m - 1) ** 2, 1)) or 1))
-                excluded = np.empty(m, dtype=float)
-                for start in range(0, m, chunk):
-                    block = keep[start:start + chunk]
-                    stacked = target.L[block[:, :, None], block[:, None, :]]
-                    spectra = np.linalg.eigvals(stacked)
-                    esp = batched_esp(spectra, kk)
-                    excluded[start:start + chunk] = np.clip(
-                        np.real_if_close(esp[:, kk], tol=1e8).real, 0.0, None)
-                inner = 1.0 - np.minimum(excluded / z, 1.0)
-            marginals = np.ones(self.n, dtype=float)
-            if items:
-                remaining = [i for i in range(self.n) if i not in items]
-                marginals[remaining] = np.clip(inner, 0.0, 1.0)
-            else:
-                marginals = np.clip(inner, 0.0, 1.0)
+        target = self.condition(items) if items else self
+        kk = target.k
+        z = target.partition_function()
+        m = target.n
+        if m <= 1 or kk > m - 1:
+            # dropping any row leaves fewer than k' elements -> excluded
+            # mass is zero and every marginal is 1 (or the set is trivial)
+            inner = np.ones(m, dtype=float) if kk > m - 1 else np.zeros(m, dtype=float)
+            if m == 1 and kk == 0:
+                inner[:] = 0.0
+        else:
+            keep = np.array([[j for j in range(m) if j != i] for i in range(m)])
+            # chunk the stacked eigenvalue call: one (chunk, m-1, m-1)
+            # block at a time keeps memory at O(chunk * m^2) instead of
+            # materializing all n leave-one-out submatrices at once
+            chunk = max(1, min(m, int(2 ** 24 // max((m - 1) ** 2, 1)) or 1))
+            excluded = np.empty(m, dtype=float)
+            for start in range(0, m, chunk):
+                block = keep[start:start + chunk]
+                stacked = target.L[block[:, :, None], block[:, None, :]]
+                spectra = np.linalg.eigvals(stacked)
+                esp = batched_esp(spectra, kk)
+                excluded[start:start + chunk] = np.clip(
+                    np.real_if_close(esp[:, kk], tol=1e8).real, 0.0, None)
+            inner = 1.0 - np.minimum(excluded / z, 1.0)
+        marginals = np.ones(self.n, dtype=float)
+        if items:
+            remaining = [i for i in range(self.n) if i not in items]
+            marginals[remaining] = np.clip(inner, 0.0, 1.0)
+        else:
+            marginals = np.clip(inner, 0.0, 1.0)
         return marginals
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -292,7 +284,6 @@ class NonsymmetricKDPP(HomogeneousDistribution):
         :meth:`counting` operation for operation.
         """
         values = np.zeros(len(subsets), dtype=float)
-        tracker = current_tracker()
         for t, positions in group_by_size(subsets).items():
             group = [subsets[p] for p in positions]
             if t > self.k:
@@ -300,7 +291,6 @@ class NonsymmetricKDPP(HomogeneousDistribution):
             if t == 0:
                 values[positions] = self.partition_function()
                 continue
-            tracker.charge_determinant(t, count=len(group))
             dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
             if t == self.k:
                 values[positions] = np.where(dets > 0, dets, 0.0)
@@ -319,11 +309,7 @@ class NonsymmetricKDPP(HomogeneousDistribution):
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         z = self.partition_function()
-        tracker = current_tracker()
-        with tracker.round("nkdpp-joint-marginals"):
-            tracker.charge(machines=float(len(subsets)))
-            values = self.counting_batch(subsets) / z
-        return np.clip(values, 0.0, None)
+        return np.clip(self.counting_batch(subsets) / z, 0.0, None)
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "NonsymmetricKDPP":

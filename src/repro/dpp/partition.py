@@ -110,8 +110,11 @@ class PartitionDPP(HomogeneousDistribution):
                    labels=params["labels"], partition_function=params["z"])
 
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Interpolation grids over the dense ``n x n`` ensemble."""
-        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth)
+        """Interpolation grids over the dense ``n x n`` ensemble: one
+        determinant per grid node, ``Π (|V_i| + 1)`` nodes."""
+        grid = int(np.prod([len(part) + 1 for part in self.parts]))
+        return OracleCostHint(matrix_order=self.n, update_depth=self.update_depth,
+                              evaluations=grid)
 
     # ------------------------------------------------------------------ #
     # densities
@@ -204,10 +207,7 @@ class PartitionDPP(HomogeneousDistribution):
         outside = [i for i in range(self.n) if i not in item_set]
         queries = [tuple(sorted(items + (i,))) for i in outside]
         marginals = np.ones(self.n, dtype=float)
-        tracker = current_tracker()
-        with tracker.round("partition-dpp-marginals"):
-            tracker.charge(machines=float(self.n))
-            marginals[outside] = self.counting_batch(queries) / denom
+        marginals[outside] = self.counting_batch(queries) / denom
         return np.clip(marginals, 0.0, 1.0)
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -215,7 +215,6 @@ class PartitionDPP(HomogeneousDistribution):
         size group, then the (internally stacked-grid) interpolation oracle
         per surviving subset."""
         values = np.zeros(len(subsets), dtype=float)
-        tracker = current_tracker()
         for t, positions in group_by_size(subsets).items():
             group = [check_subset(subsets[p], self.n) for p in positions]
             if t == 0:
@@ -228,7 +227,6 @@ class PartitionDPP(HomogeneousDistribution):
                     taken[self._part_of[item]] += 1
                 reduced = [c - took for c, took in zip(self.counts, taken)]
                 reduced_counts_group.append(None if any(c < 0 for c in reduced) else reduced)
-            tracker.charge_determinant(t, count=len(group))
             dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
             feasible = np.array([rc is not None for rc in reduced_counts_group])
             ok = np.flatnonzero(feasible & (dets > 0))
@@ -253,11 +251,7 @@ class PartitionDPP(HomogeneousDistribution):
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         z = self.partition_function()
-        tracker = current_tracker()
-        with tracker.round("partition-dpp-joint-marginals"):
-            tracker.charge(machines=float(len(subsets)))
-            values = self.counting_batch(subsets) / z
-        return np.clip(values, 0.0, None)
+        return np.clip(self.counting_batch(subsets) / z, 0.0, None)
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "PartitionDPP":

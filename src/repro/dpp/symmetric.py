@@ -34,7 +34,6 @@ from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.schur import condition_ensemble
 from repro.pram.cost import OracleCostHint
-from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_positive_int, check_subset
 
 
@@ -127,8 +126,6 @@ class SymmetricDPP(SubsetDistribution):
     def partition_function(self) -> float:
         if self._z is not None:
             return self._z
-        tracker = current_tracker()
-        tracker.charge_determinant(self.n)
         return float(np.linalg.det(np.eye(self.n) + self.L))
 
     def counting(self, given: Iterable[int] = ()) -> float:
@@ -158,15 +155,13 @@ class SymmetricDPP(SubsetDistribution):
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
         items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("dpp-marginals"):
-            if not items:
-                return np.clip(np.diag(self.kernel).copy(), 0.0, 1.0)
-            conditioned = self.condition(items)
-            marginals = np.ones(self.n, dtype=float)
-            inner = np.clip(np.diag(conditioned.kernel), 0.0, 1.0)
-            remaining = [i for i in range(self.n) if i not in items]
-            marginals[remaining] = inner
+        if not items:
+            return np.clip(np.diag(self.kernel).copy(), 0.0, 1.0)
+        conditioned = self.condition(items)
+        marginals = np.ones(self.n, dtype=float)
+        inner = np.clip(np.diag(conditioned.kernel), 0.0, 1.0)
+        remaining = [i for i in range(self.n) if i not in items]
+        marginals[remaining] = inner
         return marginals
 
     def cardinality_distribution(self) -> np.ndarray:
@@ -349,7 +344,6 @@ class SymmetricKDPP(HomogeneousDistribution):
         return max(dpp_unnormalized(self.L, items), 0.0)
 
     def partition_function(self) -> float:
-        current_tracker().charge_determinant(self.n)
         esp = elementary_symmetric_polynomials(self.eigenvalues, max_order=self.k)
         return float(esp[self.k])
 
@@ -369,21 +363,18 @@ class SymmetricKDPP(HomogeneousDistribution):
         L_cond, _ = condition_ensemble(self.L, items)
         sym = 0.5 * (L_cond + L_cond.T)
         eigenvalues = np.clip(np.linalg.eigvalsh(sym), 0.0, None)
-        current_tracker().charge_determinant(self.n - t)
         esp = elementary_symmetric_polynomials(eigenvalues, max_order=self.k - t)
         return det_t * float(esp[self.k - t])
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
         items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("kdpp-marginals"):
-            if not items:
-                return kdpp_marginals_spectral(self.L, self.k)
-            conditioned = self.condition(items)
-            marginals = np.ones(self.n, dtype=float)
-            remaining = [i for i in range(self.n) if i not in items]
-            inner = kdpp_marginals_spectral(conditioned.L, conditioned.k) if conditioned.k > 0 else np.zeros(len(remaining))
-            marginals[remaining] = inner
+        if not items:
+            return kdpp_marginals_spectral(self.L, self.k)
+        conditioned = self.condition(items)
+        marginals = np.ones(self.n, dtype=float)
+        remaining = [i for i in range(self.n) if i not in items]
+        inner = kdpp_marginals_spectral(conditioned.L, conditioned.k) if conditioned.k > 0 else np.zeros(len(remaining))
+        marginals[remaining] = inner
         return marginals
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -398,7 +389,6 @@ class SymmetricKDPP(HomogeneousDistribution):
         magnitude faster than looping :meth:`counting`, with matching values.
         """
         values = np.zeros(len(subsets), dtype=float)
-        tracker = current_tracker()
         for t, positions in group_by_size(subsets).items():
             group = [subsets[p] for p in positions]
             if t > self.k:
@@ -407,12 +397,10 @@ class SymmetricKDPP(HomogeneousDistribution):
                 values[positions] = self.partition_function()
                 continue
             if t == self.k:
-                tracker.charge_determinant(t, count=len(group))
                 dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
                 values[positions] = np.where(dets > 0, dets, 0.0)
                 continue
             det_T, reduced = lowrank_conditioned_gram(self.factor, self.factor_gram, group)
-            tracker.charge_determinant(self.n - t, count=len(group))
             spectra = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
             esp = batched_esp(spectra, self.k - t)
             values[positions] = np.where(det_T > 0, det_T * esp[:, self.k - t], 0.0)
@@ -421,11 +409,7 @@ class SymmetricKDPP(HomogeneousDistribution):
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """``P[T ⊆ Y]`` for many (mixed-size) ``T`` in one batched round."""
         z = self.partition_function()
-        tracker = current_tracker()
-        with tracker.round("kdpp-joint-marginals"):
-            tracker.charge(machines=float(len(subsets)))
-            values = self.counting_batch(subsets) / z
-        return np.clip(values, 0.0, None)
+        return np.clip(self.counting_batch(subsets) / z, 0.0, None)
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "SymmetricKDPP":

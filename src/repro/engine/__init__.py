@@ -33,9 +33,10 @@ a first-class object and separates the *what* from the *how*:
   bypasses the planner.
 
 Backends answer the *same* queries with the same numerics, so fixed-seed
-sampler runs produce identical samples across backends; the PRAM tracker
-records one round per batch regardless of execution strategy, which keeps the
-paper's depth accounting independent of wall-clock engineering.
+sampler runs produce identical samples across backends; each batch is priced
+once by :meth:`~repro.engine.batch.OracleBatch.charge` (one round, its
+queries, machines and work) regardless of execution strategy, which keeps the
+paper's PRAM accounting independent of wall-clock engineering.
 """
 
 from repro.engine.batch import BATCH_KINDS, BatchPayload, OracleBatch, OracleBatchResult

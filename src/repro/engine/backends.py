@@ -23,10 +23,14 @@ The ``auto`` backend (:mod:`repro.engine.planner`) routes each round between
 ``vectorized`` and ``process`` on measured wall time; :attr:`ExecutionBackend.warm`
 tells it which rounds paid one-off pool start-up and must not count.
 
-Every backend charges the PRAM tracker identically: one adaptive round per
-batch, ``n_queries`` machines, with per-query determinant work charged by the
-oracles themselves — so depth/work accounting and wall-clock measurement live
-side by side in :class:`~repro.engine.batch.OracleBatchResult`.
+PRAM accounting happens once, at the batch boundary: :meth:`ExecutionBackend.execute`
+opens one adaptive round and prices it with :meth:`OracleBatch.charge`
+(queries, machines and work from the distribution's cost hint), then answers
+the batch under the null sink tracker, so whatever the oracle code charges
+while answering never reaches the report.  Rounds, oracle calls, work and
+peak machines are therefore a property of the sampler, identical on every
+backend, fused or not; wall-clock lives beside them in
+:class:`~repro.engine.batch.OracleBatchResult`.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 from repro import obs
 from repro.engine.batch import BatchPayload, OracleBatch, OracleBatchResult
 from repro.linalg.batch import grouped_log_principal_minors, hkpv_projection_step
-from repro.pram.tracker import Tracker, current_tracker, use_tracker
+from repro.pram.tracker import Tracker, current_tracker, null_tracker, use_tracker
 
 
 #: a ``_dispatch`` return: plain values, or ``(values, artifacts)``
@@ -70,9 +74,9 @@ class ExecutionBackend(abc.ABC):
         trace_context = obs.round_context()
         start = time.perf_counter()
         with trk.round(batch.label):
-            trk.charge(machines=float(batch.n_queries))
-            with use_tracker(trk), obs.activate(trace_context):
-                values = self._dispatch(batch, trk)
+            batch.charge(trk)
+            with use_tracker(null_tracker()), obs.activate(trace_context):
+                values = self._dispatch(batch)
         artifacts: Dict[str, object] = {}
         if isinstance(values, tuple):
             values, artifacts = values
@@ -96,25 +100,25 @@ class ExecutionBackend(abc.ABC):
         return True
 
     # ------------------------------------------------------------------ #
-    def _dispatch(self, batch: OracleBatch, tracker: Tracker) -> _DispatchReturn:
+    def _dispatch(self, batch: OracleBatch) -> _DispatchReturn:
         if batch.kind == "counting":
-            return self._counting(batch, tracker)
+            return self._counting(batch)
         if batch.kind == "joint_marginals":
-            return self._joint_marginals(batch, tracker)
+            return self._joint_marginals(batch)
         if batch.kind == "marginal_vector":
-            return self._marginal_vector(batch, tracker)
+            return self._marginal_vector(batch)
         if batch.kind == "projection_step":
-            return self._projection_step(batch, tracker)
-        return self._log_principal_minors(batch, tracker)
+            return self._projection_step(batch)
+        return self._log_principal_minors(batch)
 
-    def _marginal_vector(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _marginal_vector(self, batch: OracleBatch) -> np.ndarray:
         # All backends use the distribution's native single-round route: it is
         # already vectorized per distribution, and sharing it keeps the
         # proposal numerics identical across backends.
         assert batch.distribution is not None
         return batch.distribution.marginal_vector(batch.given)
 
-    def _projection_step(self, batch: OracleBatch, tracker: Tracker) -> _DispatchReturn:
+    def _projection_step(self, batch: OracleBatch) -> _DispatchReturn:
         """One HKPV phase-2 round — a fixed route shared by every backend.
 
         Like ``marginal_vector``, this kind has exactly one numerical route
@@ -133,15 +137,15 @@ class ExecutionBackend(abc.ABC):
         return weights.reshape(-1), {"bases": bases}
 
     @abc.abstractmethod
-    def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _counting(self, batch: OracleBatch) -> np.ndarray:
         """Raw counting values for ``batch.subsets``."""
 
     @abc.abstractmethod
-    def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _joint_marginals(self, batch: OracleBatch) -> np.ndarray:
         """``P[T ⊆ S]`` for ``batch.subsets``."""
 
     @abc.abstractmethod
-    def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _log_principal_minors(self, batch: OracleBatch) -> np.ndarray:
         """``log det(M_{T,T})`` (``-inf`` on nonpositive minors)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -153,25 +157,24 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _counting(self, batch: OracleBatch) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
         return np.array([dist.counting(s) for s in batch.subsets], dtype=float)
 
-    def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _joint_marginals(self, batch: OracleBatch) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
         z = batch.normalizer()
         values = np.array([dist.counting(s) for s in batch.subsets], dtype=float)
         return np.clip(values / z, 0.0, None)
 
-    def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _log_principal_minors(self, batch: OracleBatch) -> np.ndarray:
         matrix = batch.matrix
         assert matrix is not None
         values = np.full(len(batch.subsets), -np.inf)
         for pos, subset in enumerate(batch.subsets):
             m = len(subset)
-            tracker.charge_determinant(m)
             if m == 0:
                 values[pos] = 0.0
                 continue
@@ -187,17 +190,17 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
-    def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _counting(self, batch: OracleBatch) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
         return np.asarray(dist.counting_batch(batch.subsets), dtype=float)
 
-    def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _joint_marginals(self, batch: OracleBatch) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
         return np.asarray(dist.joint_marginals_batch(batch.subsets), dtype=float)
 
-    def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _log_principal_minors(self, batch: OracleBatch) -> np.ndarray:
         assert batch.matrix is not None
         return grouped_log_principal_minors(batch.matrix, batch.subsets)
 
@@ -205,12 +208,9 @@ class VectorizedBackend(ExecutionBackend):
 class ThreadPoolBackend(ExecutionBackend):
     """``concurrent.futures`` fan-out of scalar queries across worker threads.
 
-    Workers run under private child trackers (the module-level current
-    tracker is a :mod:`contextvars` variable, so worker threads would
-    otherwise charge an unrelated sink); their work/oracle-call totals are
-    merged into the round's tracker after the batch completes, keeping the
-    accounting equivalent to :class:`SerialBackend` without cross-thread
-    mutation.
+    The round is priced before any worker starts (see
+    :meth:`ExecutionBackend.execute`), so worker threads carry no PRAM
+    state: whatever the oracles charge lands in the null sink.
 
     The executor is created lazily on first use and **reused across
     batches** (constructing a pool per :class:`OracleBatch` used to dominate
@@ -249,7 +249,7 @@ class ThreadPoolBackend(ExecutionBackend):
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _map_chunks(self, worker, items: Sequence, tracker: Tracker) -> List:
+    def _map_chunks(self, worker, items: Sequence) -> List:
         if not items:
             return []
         fan_out = min(self.workers, len(items))
@@ -257,50 +257,42 @@ class ThreadPoolBackend(ExecutionBackend):
         chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
 
         def run_chunk(part):
-            child = tracker.spawn()
-            with use_tracker(child):
-                return [worker(item) for item in part], child
+            return [worker(item) for item in part]
 
         try:
             outputs = list(self._ensure_pool().map(run_chunk, chunks))
         except RuntimeError:
             # named backends share one instance, so another caller's close()
             # can shut the executor down between _ensure_pool() and map();
-            # retry once on a fresh pool (charges merge only from outputs, so
-            # the rerun cannot double-charge)
+            # retry once on a fresh pool
             outputs = list(self._ensure_pool().map(run_chunk, chunks))
-        results: List = []
-        for part_values, child in outputs:
-            results.extend(part_values)
-            tracker.charge(work=child.work, oracle_calls=child.oracle_calls)
-        return results
+        return [value for part in outputs for value in part]
 
-    def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _counting(self, batch: OracleBatch) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
-        return np.array(self._map_chunks(dist.counting, batch.subsets, tracker), dtype=float)
+        return np.array(self._map_chunks(dist.counting, batch.subsets), dtype=float)
 
-    def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _joint_marginals(self, batch: OracleBatch) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
         z = batch.normalizer()
-        values = np.array(self._map_chunks(dist.counting, batch.subsets, tracker), dtype=float)
+        values = np.array(self._map_chunks(dist.counting, batch.subsets), dtype=float)
         return np.clip(values / z, 0.0, None)
 
-    def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _log_principal_minors(self, batch: OracleBatch) -> np.ndarray:
         matrix = batch.matrix
         assert matrix is not None
 
         def one(subset):
             m = len(subset)
-            current_tracker().charge_determinant(m)
             if m == 0:
                 return 0.0
             idx = np.asarray(subset, dtype=int)
             sign, logdet = np.linalg.slogdet(matrix[np.ix_(idx, idx)])
             return logdet if sign > 0 else -np.inf
 
-        return np.array(self._map_chunks(one, batch.subsets, tracker), dtype=float)
+        return np.array(self._map_chunks(one, batch.subsets), dtype=float)
 
 
 # ---------------------------------------------------------------------- #
@@ -378,20 +370,15 @@ def _worker_new_arrays(payload: BatchPayload, distribution) -> Dict[str, np.ndar
 
 def _process_worker_run(payload: BatchPayload, subsets: Sequence,
                         chunk_index: int = 0,
-                        ) -> Tuple[np.ndarray, float, int,
-                                   Dict[str, np.ndarray],
+                        ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
                                    Optional[Dict[str, object]]]:
     """Answer one chunk of a shipped batch inside a worker process.
 
-    Runs under a private tracker — built from the parent's shipped
-    :class:`~repro.pram.cost.CostModel` when one travels with the payload,
-    so work parity holds under custom models — and returns ``(values, work,
-    oracle_calls, new_arrays, span)`` so the parent can merge PRAM
-    accounting exactly like the thread backend merges its child trackers
-    and absorb worker-materialized artifacts (``new_arrays``; empty unless
-    the payload asks with ``want_artifacts``).  Kernels arrive as
-    shared-memory refs and are rebuilt once per process (see
-    :mod:`repro.engine.shm`).
+    Returns ``(values, new_arrays, span)``; the parent absorbs the
+    worker-materialized artifacts (``new_arrays``; empty unless the payload
+    asks with ``want_artifacts``).  Workers keep no PRAM state: the parent
+    priced the round before shipping it.  Kernels arrive as shared-memory
+    refs and are rebuilt once per process (see :mod:`repro.engine.shm`).
 
     ``span`` is a plain dict describing this chunk's execution when the
     payload carries a trace context (``None`` otherwise): the worker's obs
@@ -403,21 +390,19 @@ def _process_worker_run(payload: BatchPayload, subsets: Sequence,
     from repro.engine.shm import attach_shared_array
 
     chunk = tuple(tuple(s) for s in subsets)
-    child = Tracker(payload.cost_model) if payload.cost_model is not None else Tracker()
     new_arrays: Dict[str, np.ndarray] = {}
     started = time.perf_counter()
-    with use_tracker(child):
-        if payload.kind == "log_principal_minors":
-            matrix = attach_shared_array(payload.matrix)
-            values = grouped_log_principal_minors(matrix, chunk)
-        else:
-            distribution = payload.build_distribution(attach_shared_array,
-                                                      _worker_distributions)
-            while len(_worker_distributions) > _WORKER_DISTRIBUTION_CAPACITY:
-                _worker_distributions.popitem(last=False)
-            values = np.asarray(distribution.counting_batch(list(chunk)), dtype=float)
-            if payload.want_artifacts:
-                new_arrays = _worker_new_arrays(payload, distribution)
+    if payload.kind == "log_principal_minors":
+        matrix = attach_shared_array(payload.matrix)
+        values = grouped_log_principal_minors(matrix, chunk)
+    else:
+        distribution = payload.build_distribution(attach_shared_array,
+                                                  _worker_distributions)
+        while len(_worker_distributions) > _WORKER_DISTRIBUTION_CAPACITY:
+            _worker_distributions.popitem(last=False)
+        values = np.asarray(distribution.counting_batch(list(chunk)), dtype=float)
+        if payload.want_artifacts:
+            new_arrays = _worker_new_arrays(payload, distribution)
     span: Optional[Dict[str, object]] = None
     if payload.trace is not None:
         trace_id, parent_span = payload.trace
@@ -432,8 +417,7 @@ def _process_worker_run(payload: BatchPayload, subsets: Sequence,
             "queries": len(chunk),
             "pid": os.getpid(),
         }
-    return (np.asarray(values, dtype=float), child.work, child.oracle_calls,
-            new_arrays, span)
+    return np.asarray(values, dtype=float), new_arrays, span
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -452,10 +436,13 @@ class ProcessPoolBackend(ExecutionBackend):
     * ``start_method`` — ``"spawn"`` by default: fork duplicates the parent's
       locks/threads (the serving layer runs schedulers on threads) and is
       unsafe with most BLAS implementations.
-    * Workers answer chunks through the distributions' ``counting_batch``
-      oracles under private trackers; the parent merges work/oracle-call
-      totals, so PRAM accounting matches the other backends (one round per
-      batch, ``n_queries`` machines).
+    * Workers start with BLAS/OpenMP pinned to one thread (an operator's
+      own setting of those variables wins) and answer chunks through the
+      distributions' ``counting_batch`` oracles.  They keep no PRAM state:
+      the round was priced in the parent before it shipped.
+    * Payload arrays a worker materializes for a cold distribution
+      (spectra, factors) are written back into the parent's distribution,
+      and into ``artifact_cache`` when one is given.
     * Fallback: when shared memory is unavailable, the pool cannot start, or
       a distribution cannot be shipped (e.g. closures over unpicklable
       state), execution degrades gracefully to the vectorized backend with a
@@ -470,8 +457,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __init__(self, max_workers: Optional[int] = None, *,
                  chunk_size: Optional[int] = None, start_method: str = "spawn",
-                 shm_capacity: int = 64, pin_blas_threads: bool = True,
-                 write_back: bool = True, artifact_cache=None):
+                 shm_capacity: int = 64, artifact_cache=None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         if chunk_size is not None and chunk_size < 1:
@@ -480,10 +466,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self.chunk_size = chunk_size
         self.start_method = start_method
         self.shm_capacity = int(shm_capacity)
-        self.pin_blas_threads = bool(pin_blas_threads)
-        #: ship worker-materialized artifacts back and absorb them into the
-        #: parent's distribution objects (see ``absorb_worker_arrays``)
-        self.write_back = bool(write_back)
         #: optional :class:`~repro.service.cache.FactorizationCache`-like
         #: object (anything with ``factorization(matrix).seed(name, value)``)
         #: that written-back artifacts additionally warm, keyed by kernel
@@ -531,8 +513,7 @@ class ProcessPoolBackend(ExecutionBackend):
                                                  mp_context=context)
                 # submit() starts one worker per call while none is idle, so
                 # this starts the whole pool now, inside the pinned window
-                with (_pinned_environment() if self.pin_blas_threads
-                      else contextlib.nullcontext()):
+                with _pinned_environment():
                     for _ in range(self.workers):
                         self._pool.submit(os.getpid)
                 self._register_atexit_locked()
@@ -575,29 +556,18 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # shipping
     # ------------------------------------------------------------------ #
-    def _payload(self, batch: OracleBatch,
-                 tracker: Optional[Tracker] = None) -> Optional[BatchPayload]:
-        """Shippable payload for ``batch``, or ``None`` to fall back.
-
-        The parent tracker's cost model ships with the payload (when it is
-        not the shared default) so worker trackers charge determinant work
-        on the parent's schedule — exact work parity under custom models.
-        """
+    def _payload(self, batch: OracleBatch) -> Optional[BatchPayload]:
+        """Shippable payload for ``batch``, or ``None`` to fall back."""
         from repro.engine.shm import shared_memory_available
-        from repro.pram.cost import DEFAULT_COST_MODEL
 
         if self._degraded is not None:
             return None
         if not shared_memory_available():
             self._degrade("multiprocessing.shared_memory is unavailable on this host")
             return None
-        cost_model = None
-        if tracker is not None and tracker.cost_model is not DEFAULT_COST_MODEL:
-            cost_model = tracker.cost_model
         try:
             return batch.to_payload(publish=self._ensure_store().publish,
-                                    cost_model=cost_model,
-                                    want_artifacts=self.write_back)
+                                    want_artifacts=True)
         except Exception as exc:
             kind = type(batch.distribution).__name__ if batch.distribution is not None else "matrix"
             if kind not in self._warned_specs:
@@ -608,8 +578,8 @@ class ProcessPoolBackend(ExecutionBackend):
                     RuntimeWarning, stacklevel=3)
             return None
 
-    def _fan_out(self, payload: BatchPayload, subsets: Sequence,
-                 tracker: Tracker) -> Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]]:
+    def _fan_out(self, payload: BatchPayload,
+                 subsets: Sequence) -> Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]]:
         """Chunked worker execution; ``None`` on failure (caller falls back).
 
         Returns the concatenated values plus any worker-materialized
@@ -617,10 +587,7 @@ class ProcessPoolBackend(ExecutionBackend):
         subset sizes exercise different oracle routes and therefore
         materialize *different* artifact sets — a normalizer-only chunk
         returns the spectrum, a conditioned chunk the PSD factor; first
-        value per name wins, equal-content duplicates are dropped).  Worker
-        charges are committed to ``tracker`` only after every chunk succeeds
-        — a mid-batch failure must not leave partial charges behind, or the
-        vectorized fallback would double-charge the round's work.
+        value per name wins, equal-content duplicates are dropped).
         """
         from concurrent.futures.process import BrokenProcessPool
         from dataclasses import replace
@@ -639,15 +606,11 @@ class ProcessPoolBackend(ExecutionBackend):
             futures = [pool.submit(_process_worker_run, shipped, chunk, index)
                        for index, chunk in enumerate(chunks)]
             parts: List[np.ndarray] = []
-            total_work = 0.0
-            total_calls = 0
             artifacts: Dict[str, np.ndarray] = {}
             worker_spans: List[Dict[str, object]] = []
             for future in futures:
-                values, work, oracle_calls, new_arrays, span = future.result()
+                values, new_arrays, span = future.result()
                 parts.append(values)
-                total_work += work
-                total_calls += oracle_calls
                 if span is not None:
                     worker_spans.append(span)
                 for name, value in new_arrays.items():
@@ -685,7 +648,6 @@ class ProcessPoolBackend(ExecutionBackend):
             return None
         with self._lock:
             self._broken_pools = 0  # a full batch succeeded: reset the budget
-        tracker.charge(work=total_work, oracle_calls=total_calls)
         for span in worker_spans:
             obs.record_worker_span(span)
         values = np.concatenate(parts) if parts else np.empty(0, dtype=float)
@@ -725,8 +687,7 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # batch kinds (one shared skeleton: ship, fan out, or fall back whole)
     # ------------------------------------------------------------------ #
-    def _answer(self, batch: OracleBatch, tracker: Tracker, fallback,
-                finish=None) -> np.ndarray:
+    def _answer(self, batch: OracleBatch, fallback, finish=None) -> np.ndarray:
         """Ship ``batch`` to workers, else answer it whole on ``fallback``.
 
         ``finish`` post-processes successful fan-out values only — the
@@ -734,24 +695,24 @@ class ProcessPoolBackend(ExecutionBackend):
         """
         if not batch.subsets:
             return np.empty(0, dtype=float)
-        payload = self._payload(batch, tracker)
+        payload = self._payload(batch)
         if payload is not None:
-            answered = self._fan_out(payload, batch.subsets, tracker)
+            answered = self._fan_out(payload, batch.subsets)
             if answered is not None:
                 values, artifacts = answered
                 self._absorb_artifacts(batch, artifacts)
                 return finish(values) if finish is not None else values
-        return fallback(batch, tracker)
+        return fallback(batch)
 
-    def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        return self._answer(batch, tracker, self._vectorized._counting)
+    def _counting(self, batch: OracleBatch) -> np.ndarray:
+        return self._answer(batch, self._vectorized._counting)
 
-    def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
+    def _joint_marginals(self, batch: OracleBatch) -> np.ndarray:
         # workers return raw counting values; the parent normalizes exactly
-        # like the serial/thread backends (one normalizer query per batch)
+        # like the serial/thread backends (one normalizer per batch)
         return self._answer(
-            batch, tracker, self._vectorized._joint_marginals,
+            batch, self._vectorized._joint_marginals,
             finish=lambda values: np.clip(values / batch.normalizer(), 0.0, None))
 
-    def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        return self._answer(batch, tracker, self._vectorized._log_principal_minors)
+    def _log_principal_minors(self, batch: OracleBatch) -> np.ndarray:
+        return self._answer(batch, self._vectorized._log_principal_minors)

@@ -52,7 +52,7 @@ from repro.utils.subsets import Subset, subset_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.distributions.base import SubsetDistribution
-    from repro.pram.cost import CostModel
+    from repro.pram.tracker import Tracker
 
 #: the five request kinds understood by every backend
 BATCH_KINDS = ("counting", "joint_marginals", "marginal_vector",
@@ -136,12 +136,43 @@ class OracleBatch:
             return int(stack * rows)
         return len(self.subsets)
 
+    def charge(self, tracker: "Tracker") -> None:
+        """Charge this round's PRAM cost to ``tracker``; the caller opens the round.
+
+        The one place a batch is priced, so the report depends on the
+        algorithm and never on the backend that answered it:
+
+        * ``counting`` / ``joint_marginals`` / ``marginal_vector``:
+          ``n_queries`` oracle calls on ``n_queries`` machines, each query
+          priced from the distribution's
+          :meth:`~repro.distributions.base.SubsetDistribution.oracle_cost_hint`
+          (``evaluations`` factorizations of
+          :meth:`~repro.pram.cost.CostModel.refactorization_work` apiece);
+        * ``log_principal_minors``: one determinant per subset,
+          ``Σ determinant_work(|T|)``;
+        * ``projection_step``: machines only.
+        """
+        machines = self.n_queries
+        if self.kind == "projection_step":
+            tracker.charge(machines=float(machines))
+            return
+        model = tracker.cost_model
+        if self.kind == "log_principal_minors":
+            work = sum(model.determinant_work(len(s)) for s in self.subsets)
+        else:
+            assert self.distribution is not None
+            hint = self.distribution.oracle_cost_hint()
+            work = machines * hint.evaluations * model.refactorization_work(hint)
+        tracker.charge(work=work, machines=float(machines), oracle_calls=machines)
+
     def normalizer(self) -> float:
         """Total mass ``μ([n])`` of the batch's distribution, computed once.
 
-        Cached on the request so backends answering ``joint_marginals``
-        through scalar ``counting()`` calls charge the normalizer exactly
-        once per batch instead of once per query.
+        Cached on the request (and shipped with its payload), so backends
+        answering ``joint_marginals`` through scalar ``counting()`` calls
+        evaluate the normalizer once per batch instead of once per query.
+        It is part of answering the batch, not an extra query:
+        :meth:`charge` prices the round.
         """
         if self.distribution is None:
             raise ValueError("normalizer() requires a distribution-backed batch")
@@ -157,7 +188,6 @@ class OracleBatch:
     # ------------------------------------------------------------------ #
     def to_payload(self, publish: Optional[Callable[[np.ndarray], object]] = None,
                    *, normalizer: Optional[float] = None,
-                   cost_model: Optional["CostModel"] = None,
                    want_artifacts: bool = False) -> "BatchPayload":
         """Picklable description of this batch for out-of-process execution.
 
@@ -171,12 +201,9 @@ class OracleBatch:
         layer raises for genuinely unshippable state, e.g. closures).
 
         Contract: ``payload.to_batch(attach)`` answers every query with the
-        same values as the original batch, on every backend.
-
-        ``cost_model`` ships the parent tracker's :class:`CostModel` so
-        worker-side trackers charge determinant work with the parent's
-        schedule — exact work parity under custom models (workers used to
-        fall back to the default model).
+        same values as the original batch, on every backend.  The payload
+        carries no PRAM state: the parent prices the round once
+        (:meth:`charge`) before any worker sees it.
 
         ``want_artifacts`` asks workers to ship back any payload arrays they
         materialize while answering (the write-back half of the contract —
@@ -220,7 +247,6 @@ class OracleBatch:
             kind=self.kind, subsets=self.subsets, given=self.given, label=self.label,
             normalizer=normalizer if normalizer is not None else self._normalizer,
             matrix=matrix_token, spec=spec, pickled_distribution=blob,
-            cost_model=cost_model,
             want_artifacts=bool(want_artifacts and spec is not None),
         )
 
@@ -243,8 +269,6 @@ class BatchPayload:
     matrix: Optional[object] = None
     spec: Optional[Dict[str, object]] = None
     pickled_distribution: Optional[bytes] = None
-    #: the parent tracker's cost model (``None`` -> workers use the default)
-    cost_model: Optional["CostModel"] = None
     #: whether workers should return payload arrays they materialize (the
     #: artifact write-back; only meaningful for spec-shipped distributions)
     want_artifacts: bool = False

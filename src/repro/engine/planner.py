@@ -228,11 +228,11 @@ class AutoBackend(ExecutionBackend):
         return result
 
     # the abstract hooks are never reached — execute() is fully delegated
-    def _counting(self, batch, tracker):  # pragma: no cover
+    def _counting(self, batch):  # pragma: no cover
         raise NotImplementedError
 
-    def _joint_marginals(self, batch, tracker):  # pragma: no cover
+    def _joint_marginals(self, batch):  # pragma: no cover
         raise NotImplementedError
 
-    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
+    def _log_principal_minors(self, batch):  # pragma: no cover
         raise NotImplementedError

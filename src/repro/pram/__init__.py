@@ -16,7 +16,6 @@ Theorem 1/8/9/10/11 bound.
 from repro.pram.cost import (
     CostModel,
     OracleCostHint,
-    RoundCharge,
 )
 from repro.pram.tracker import Tracker, current_tracker, use_tracker, null_tracker
 from repro.pram.schedule import parallel_map, parallel_branches
@@ -24,7 +23,6 @@ from repro.pram.schedule import parallel_map, parallel_branches
 __all__ = [
     "CostModel",
     "OracleCostHint",
-    "RoundCharge",
     "Tracker",
     "current_tracker",
     "use_tracker",

@@ -23,21 +23,13 @@ from typing import Optional
 
 
 @dataclass(frozen=True)
-class RoundCharge:
-    """Charges accumulated by a single adaptive round."""
-
-    depth: int = 1
-    work: float = 0.0
-    machines: float = 0.0
-    oracle_calls: int = 0
-
-
-@dataclass(frozen=True)
 class OracleCostHint:
     """Structural cost facts a distribution reports about its kernel.
 
     The hint states *structure*, not seconds: the work-unit methods of
-    :class:`CostModel` turn it into the patch-vs-recompute break-even that
+    :class:`CostModel` turn it into the price of one counting-oracle query
+    (:meth:`~repro.engine.batch.OracleBatch.charge` charges every engine
+    round from it) and into the patch-vs-recompute break-even that
     :func:`~repro.engine.planner.should_refactorize` applies to incremental
     kernel updates.
 
@@ -59,11 +51,16 @@ class OracleCostHint:
         (:meth:`CostModel.update_break_even_depth`) a fresh refactorization
         is preferred — the cumulative patch work has paid for one by then,
         making the refresh amortized-free.
+    evaluations:
+        Factorizations one query performs: ``1`` for a single determinant
+        or spectrum, the interpolation-grid size for oracles that evaluate a
+        generating polynomial at every grid node (Partition-DPPs).
     """
 
     matrix_order: int
     rank: Optional[int] = None
     update_depth: int = 0
+    evaluations: int = 1
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,12 @@ do **not** add extra depth (they model the ``Õ(1)``-depth subroutines run by
 the machines of that round).
 
 A module-level *current tracker* (:func:`current_tracker`) lets low-level
-oracles charge costs without having a tracker threaded through every call
-signature; samplers install their tracker with :func:`use_tracker`.
+primitives charge costs without having a tracker threaded through every call
+signature; samplers install their tracker with :func:`use_tracker`.  Engine
+rounds are the exception: :meth:`repro.engine.batch.OracleBatch.charge` prices
+each batch once and the batch is answered under the null sink, so only work
+done outside a batch (conditioning, cardinality sampling, set-up) is charged
+by the primitives themselves.
 """
 
 from __future__ import annotations
@@ -134,14 +138,6 @@ class Tracker:
         combined_machines = sum(max(b.peak_machines, 1.0) for b in branches)
         if combined_machines > self.peak_machines:
             self.peak_machines = combined_machines
-
-    def merge_sequential(self, branch: "Tracker") -> None:
-        """Merge a branch executed *after* the current work (depths add)."""
-        self.add_rounds(branch.rounds)
-        self.work += branch.work
-        self.oracle_calls += branch.oracle_calls
-        if branch.peak_machines > self.peak_machines:
-            self.peak_machines = branch.peak_machines
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:

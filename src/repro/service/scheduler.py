@@ -28,8 +28,9 @@ of the scheduler's root seed) and the stacked oracle primitives answer each
 query independently of its neighbours in the stack, so a fixed-seed request
 returns the identical sample fused or unfused, on every backend.  PRAM depth
 is likewise preserved: each request's tracker is charged one round per batch
-exactly as unfused execution would; the fused round's *work* is accounted on
-the scheduler (see :attr:`RoundScheduler.stats`) since it is genuinely shared.
+through the same :meth:`~repro.engine.batch.OracleBatch.charge` unfused
+execution uses, so fused and unfused reports are equal; the fused round's
+own charge lands on the scheduler (see :attr:`RoundScheduler.stats`).
 """
 
 from __future__ import annotations
@@ -267,11 +268,11 @@ class _FusionCoordinator:
     @staticmethod
     def _charge(member: _PendingExec) -> None:
         """Charge the member's tracker exactly as unfused execution would:
-        one adaptive round, ``n_queries`` machines."""
+        one adaptive round priced by :meth:`OracleBatch.charge`."""
         if member.tracker is None:
             return
         with member.tracker.round(member.batch.label):
-            member.tracker.charge(machines=float(member.batch.n_queries))
+            member.batch.charge(member.tracker)
 
     @property
     def shared_work(self) -> float:
@@ -290,13 +291,13 @@ class _FusingBackend(ExecutionBackend):
         return self._coordinator.execute(batch, tracker)
 
     # the abstract hooks are never reached — execute() is fully overridden
-    def _counting(self, batch, tracker):  # pragma: no cover
+    def _counting(self, batch):  # pragma: no cover
         raise NotImplementedError
 
-    def _joint_marginals(self, batch, tracker):  # pragma: no cover
+    def _joint_marginals(self, batch):  # pragma: no cover
         raise NotImplementedError
 
-    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
+    def _log_principal_minors(self, batch):  # pragma: no cover
         raise NotImplementedError
 
 

@@ -148,7 +148,9 @@ class TestFixedSeedParity:
 
     Each pin is ``(matching digest, rounds, oracle_calls, work, peak_machines)``;
     counting by slicing one Kasteleyn matrix per sample must reproduce all of
-    them, and the prefix/suffix leave-one-out ESPs the Thm 10 draws.
+    them, and the prefix/suffix leave-one-out ESPs the Thm 10 draws.  The
+    Thm 10 ``oracle_calls``/``work`` pins are the per-batch charges of
+    :meth:`repro.engine.OracleBatch.charge` (every backend reports them).
     """
 
     PARALLEL_12X12 = {
@@ -165,10 +167,10 @@ class TestFixedSeedParity:
     THM10 = {
         0: ((3, 8, 15, 24, 26, 33, 35, 36, 39, 54, 55, 57, 66, 71, 77, 78, 79, 80, 90, 92,
              96, 100, 102, 121, 127, 139, 144, 148, 150, 155, 161, 162, 166, 170, 171, 172,
-             179, 181, 182, 190), 27, 522, 1373493484.0, 200.0),
+             179, 181, 182, 190), 27, 1884, 10881979990.0, 200.0),
         1: ((19, 20, 27, 29, 31, 32, 40, 42, 47, 49, 50, 52, 57, 59, 61, 64, 65, 68, 69, 77,
              81, 84, 88, 89, 91, 101, 104, 113, 117, 129, 141, 143, 144, 149, 154, 184, 186,
-             188, 190, 192), 27, 503, 1313384558.0, 200.0),
+             188, 190, 192), 27, 1874, 10812905211.0, 200.0),
     }
 
     @staticmethod

@@ -482,7 +482,7 @@ class TestSpectralEngineRounds:
 
 
 # ---------------------------------------------------------------------- #
-# process backend: cost-model passthrough and BLAS pinning
+# process backend: BLAS pinning
 # ---------------------------------------------------------------------- #
 class TestProcessBackendSatellites:
     def test_pin_worker_blas_threads_sets_defaults(self, monkeypatch):
@@ -507,25 +507,3 @@ class TestProcessBackendSatellites:
             backend.close()
         assert "OPENBLAS_NUM_THREADS" not in os.environ
 
-    def test_pinning_knob_controls_initializer(self):
-        assert ProcessPoolBackend(max_workers=1).pin_blas_threads is True
-        assert ProcessPoolBackend(max_workers=1,
-                                  pin_blas_threads=False).pin_blas_threads is False
-
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="multiprocessing.shared_memory unavailable")
-    def test_custom_cost_model_ships_to_workers(self):
-        L = random_psd_ensemble(10, seed=2)
-        dist = PartitionDPP(L, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], [2, 1])
-        subsets = [(0,), (1,), (5,), (0, 5), (2, 6)]
-        model = CostModel(determinant_exponent=2.25)
-        reference = Tracker(model)
-        resolve_backend("vectorized").execute(OracleBatch.counting(dist, subsets),
-                                              tracker=reference)
-        shipped = Tracker(model)
-        backend = resolve_backend("process")
-        backend.execute(OracleBatch.counting(dist, subsets), tracker=shipped)
-        # parity holds whether the batch ran in workers (shipped model) or
-        # fell back in-process (same tracker): either way the custom
-        # exponent prices every determinant
-        assert shipped.work == pytest.approx(reference.work)

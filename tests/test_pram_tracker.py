@@ -203,17 +203,6 @@ class TestTrackerMerging:
         assert parent.round_log == []
         assert parent.rounds == 1
 
-    def test_merge_sequential_adds_depth(self):
-        parent = Tracker()
-        with parent.round():
-            pass
-        child = parent.spawn()
-        for _ in range(2):
-            with child.round():
-                pass
-        parent.merge_sequential(child)
-        assert parent.rounds == 3
-
 
 class TestCurrentTracker:
     def test_default_is_null_tracker(self):

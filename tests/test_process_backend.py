@@ -135,7 +135,7 @@ class TestProcessBatchEquivalence:
         process_backend.execute(OracleBatch.joint_marginals(kdpp, subsets), tracker=tracker)
         assert tracker.rounds == 1
         assert tracker.peak_machines == 3.0
-        assert tracker.work > 0.0  # worker-side charges merged into the round
+        assert tracker.work > 0.0  # priced in the parent before the round ships
 
     def test_chunk_size_knob_preserves_values(self, kdpp):
         subsets = _random_subsets(np.random.default_rng(9), kdpp.n, [1, 2, 3], per_size=4)
@@ -448,19 +448,6 @@ class TestArtifactWriteBack:
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(dist._factor_gram, reference.factor_gram,
                                        rtol=1e-12, atol=1e-12)
-        finally:
-            backend.close()
-
-    def test_write_back_knob_off_keeps_parent_cold(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        _L, dist = self._cold_kdpp(seed=9)
-        backend = ProcessPoolBackend(max_workers=2, write_back=False)
-        try:
-            backend.execute(OracleBatch.counting(dist, [(), (0,)]), tracker=Tracker())
-            if backend._degraded is not None:
-                pytest.skip(f"process backend degraded: {backend._degraded}")
-            assert dist._eigenvalues is None and dist._factor is None
         finally:
             backend.close()
 
